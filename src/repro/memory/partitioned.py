@@ -163,10 +163,8 @@ class PartitionedMemory:
                 trace, include_leakage=include_leakage, recorder=recorder
             )
         if use_columnar(trace):
-            if isinstance(trace, Trace):
-                trace = trace.columnar()
             return self.play_vectorized(
-                trace, include_leakage=include_leakage, recorder=recorder
+                trace.columnar(), include_leakage=include_leakage, recorder=recorder
             )
         return self.play_scalar(trace, include_leakage=include_leakage, recorder=recorder)
 

@@ -132,10 +132,8 @@ def simulate_bank_sleep(
                 cycle_time_ns, recorder,
             )
         if use_columnar(layout_trace):
-            if isinstance(layout_trace, Trace):
-                layout_trace = layout_trace.columnar()
             return simulate_bank_sleep_columnar(
-                bank_sizes, bank_bases, layout_trace, policy, sram_model,
+                bank_sizes, bank_bases, layout_trace.columnar(), policy, sram_model,
                 cycle_time_ns, recorder,
             )
         return simulate_bank_sleep_scalar(

@@ -67,6 +67,7 @@ class PartitionCostModel:
             raise ValueError(f"block_size must be positive, got {self.block_size}")
         self._read_prefix = np.concatenate([[0], np.cumsum(self.reads)])
         self._write_prefix = np.concatenate([[0], np.cumsum(self.writes)])
+        self._energy_table: np.ndarray | None = None
 
     @property
     def num_blocks(self) -> int:
@@ -84,19 +85,57 @@ class PartitionCostModel:
             size = 1 << (size - 1).bit_length()
         return size
 
+    def _bank_energies(self, lengths: np.ndarray) -> np.ndarray:
+        """Per-access read/write energy and leakage (pJ) of banks ``lengths`` blocks long.
+
+        Returns a ``(3, *lengths.shape)`` array.  Each distinct length is priced
+        once with the scalar SRAM model and kept in a table indexed by length
+        (NaN marks a length not priced yet), so a DP that asks for every
+        segment still calls the model at most ``num_blocks`` times.
+        """
+        if self._energy_table is None:
+            self._energy_table = np.full((3, self.num_blocks + 1), np.nan)
+        table = self._energy_table
+        energies = table.take(lengths, axis=1)
+        unpriced = np.isnan(energies[0])
+        if unpriced.any():
+            for length in set(lengths[unpriced].tolist()):
+                capacity = self._bank_capacity(length)
+                table[0, length] = self.sram_model.read_energy(capacity)
+                table[1, length] = self.sram_model.write_energy(capacity)
+                if self.leakage_cycles:
+                    table[2, length] = self.sram_model.leakage_energy(
+                        capacity, self.leakage_cycles
+                    )
+            energies = table.take(lengths, axis=1)
+        return energies
+
+    def segment_costs(self, start, ends) -> np.ndarray:
+        """Energies (pJ) of serving blocks ``[start, end)`` from one bank, per ``end``.
+
+        The row form of :meth:`segment_cost`: ``start`` and ``ends`` are
+        integers or integer arrays that broadcast against each other.  The
+        arithmetic is the scalar formula's float64 operations in the same
+        order, so every element equals the corresponding scalar call exactly.
+        """
+        starts = np.asarray(start, dtype=np.int64)
+        ends = np.asarray(ends, dtype=np.int64)
+        bad = (starts < 0) | (starts >= ends) | (ends > self.num_blocks)
+        if bad.any():
+            first = int(np.argmax(bad))
+            starts, ends = np.broadcast_arrays(starts, ends)
+            raise ValueError(f"bad segment [{starts.flat[first]}, {ends.flat[first]})")
+        e_read, e_write, leakage = self._bank_energies(ends - starts)
+        reads = self._read_prefix[ends] - self._read_prefix[starts]
+        writes = self._write_prefix[ends] - self._write_prefix[starts]
+        costs = reads * e_read + writes * e_write
+        if self.leakage_cycles:
+            costs += leakage
+        return costs
+
     def segment_cost(self, start: int, end: int) -> float:
         """Energy (pJ) of serving all accesses to blocks ``[start, end)`` from one bank."""
-        if not 0 <= start < end <= self.num_blocks:
-            raise ValueError(f"bad segment [{start}, {end})")
-        capacity = self._bank_capacity(end - start)
-        reads = int(self._read_prefix[end] - self._read_prefix[start])
-        writes = int(self._write_prefix[end] - self._write_prefix[start])
-        dynamic_pj = reads * self.sram_model.read_energy(capacity) + writes * self.sram_model.write_energy(
-            capacity
-        )
-        if self.leakage_cycles:
-            dynamic_pj += self.sram_model.leakage_energy(capacity, self.leakage_cycles)
-        return dynamic_pj
+        return float(self.segment_costs(start, end))
 
     def decoder_cost(self, num_banks: int) -> float:
         """Total decoder energy (pJ): every access pays the selection overhead."""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from .cost import PartitionCostModel
 from .optimal import PartitionResult
 from .spec import PartitionSpec
@@ -57,21 +59,19 @@ class GreedyPartitioner:
     def partition(self, cost_model: PartitionCostModel) -> PartitionResult:
         """Run the greedy split loop."""
         segments: list[tuple[int, int]] = [(0, cost_model.num_blocks)]
-        segment_costs = {(0, cost_model.num_blocks): cost_model.segment_cost(0, cost_model.num_blocks)}
+        bank_pj = {(0, cost_model.num_blocks): cost_model.segment_cost(0, cost_model.num_blocks)}
 
         def best_split(start: int, end: int) -> tuple[float, int] | None:
             if end - start < 2:
                 return None
-            current_pj = segment_costs[(start, end)]
-            best_gain_pj, best_cut = 0.0, -1
-            for cut in range(start + 1, end, self.scan_stride):
-                split_pj = cost_model.segment_cost(start, cut) + cost_model.segment_cost(cut, end)
-                gain_pj = current_pj - split_pj
-                if gain_pj > best_gain_pj:
-                    best_gain_pj, best_cut = gain_pj, cut
-            if best_cut < 0:
+            cuts = np.arange(start + 1, end, self.scan_stride)
+            split_pj = cost_model.segment_costs(start, cuts) + cost_model.segment_costs(cuts, end)
+            gain_pj = bank_pj[(start, end)] - split_pj
+            # argmax keeps the first of equal gains, as a strict-> scan would.
+            best = int(np.argmax(gain_pj))
+            if not gain_pj[best] > 0.0:
                 return None
-            return best_gain_pj, best_cut
+            return float(gain_pj[best]), int(cuts[best])
 
         while len(segments) < self.max_banks:
             k = len(segments)
@@ -89,10 +89,10 @@ class GreedyPartitioner:
                 break
             _, index, cut = best
             start, end = segments.pop(index)
-            del segment_costs[(start, end)]
+            del bank_pj[(start, end)]
             for piece in ((start, cut), (cut, end)):
                 segments.insert(index, piece)
-                segment_costs[piece] = cost_model.segment_cost(*piece)
+                bank_pj[piece] = cost_model.segment_cost(*piece)
                 index += 1
             segments.sort()
 

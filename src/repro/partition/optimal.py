@@ -7,10 +7,12 @@ bank-select decoder energy).
 
 The DP is exact over a chosen granularity: ``cost[j][m]`` = cheapest energy of
 serving blocks ``[0, j)`` with exactly ``m`` banks, with the classic
-O(n²·k) recurrence.  For large footprints the block array is first coalesced
-into at most ``max_dp_cells`` contiguous cells (adjacent blocks merged), which
-keeps runtime bounded while preserving the hot/cold structure — the papers do
-the same by partitioning at page rather than word granularity.
+O(n²·k) recurrence, run as array operations: one candidate array per bank
+count, minimized with the scalar scan's first-minimum tie-break.  For large
+footprints the block array is first coalesced into at most ``max_dp_cells``
+contiguous cells (adjacent blocks merged), which keeps runtime bounded while
+preserving the hot/cold structure — the papers do the same by partitioning
+at page rather than word granularity.
 """
 
 from __future__ import annotations
@@ -23,6 +25,9 @@ from .cost import PartitionCostModel
 from .spec import PartitionSpec
 
 __all__ = ["OptimalPartitioner", "PartitionResult"]
+
+#: Segment-matrix rows priced per :meth:`PartitionCostModel.segment_costs` call.
+_BAND_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -81,11 +86,18 @@ class OptimalPartitioner:
         cell_edges = np.concatenate([[0], np.cumsum(cells)])
         n = len(cells)
 
-        # Pre-compute segment costs between every pair of cell boundaries.
-        segment = np.empty((n + 1, n + 1))
-        for i in range(n):
-            for j in range(i + 1, n + 1):
-                segment[i][j] = cost_model.segment_cost(int(cell_edges[i]), int(cell_edges[j]))
+        # segment[i][j]: cost of one bank over cells [i, j); infinite for j <= i.
+        # Priced through the row form a band of rows per call, which keeps the
+        # temporaries small.  Ends left of the diagonal are clipped to a valid
+        # one-cell bank and then masked to inf.
+        segment = np.full((n + 1, n + 1), np.inf)
+        for top in range(0, n, _BAND_ROWS):
+            rows = np.arange(top, min(top + _BAND_ROWS, n))[:, None]
+            ends = np.arange(top + 1, n + 1)
+            costs = cost_model.segment_costs(
+                cell_edges[rows], cell_edges[np.maximum(ends, rows + 1)]
+            )
+            segment[rows, ends] = np.where(ends > rows, costs, np.inf)
 
         bank_counts = [num_banks] if num_banks is not None else list(range(1, self.max_banks + 1))
         max_k = max(bank_counts)
@@ -100,15 +112,18 @@ class OptimalPartitioner:
         dp = np.full((max_k + 1, n + 1), INF)
         choice = np.zeros((max_k + 1, n + 1), dtype=np.int64)
         dp[0][0] = 0.0
+        buffer = np.empty((n, n))
         for m in range(1, max_k + 1):
-            for j in range(m, n + 1):
-                best, best_i = INF, m - 1
-                for i in range(m - 1, j):
-                    candidate = dp[m - 1][i] + segment[i][j]
-                    if candidate < best:
-                        best, best_i = candidate, i
-                dp[m][j] = best
-                choice[m][j] = best_i
+            # candidate[i - (m-1), j - m] = dp[m-1][i] + segment[i][j] for the
+            # last cut i in [m-1, n) and end j in [m, n]; cuts i >= j cost inf.
+            # argmin keeps the first minimum, as a strict-< scan over i would,
+            # and picks i = m-1 in a column that is all inf.
+            size = n - m + 1
+            candidate = buffer[:size, :size]
+            np.add(dp[m - 1, m - 1 : n, None], segment[m - 1 : n, m:], out=candidate)
+            best = np.argmin(candidate, axis=0)
+            dp[m, m:] = candidate[best, np.arange(size)]
+            choice[m, m:] = best + (m - 1)
 
         best_result: PartitionResult | None = None
         for k in bank_counts:

@@ -230,6 +230,10 @@ class ColumnarTrace:
 
     # -- conversion ---------------------------------------------------------------
 
+    def columnar(self) -> "ColumnarTrace":
+        """This trace itself, so both trace types answer :meth:`Trace.columnar`."""
+        return self
+
     def to_trace(self) -> Trace:
         """Materialize back into a scalar :class:`Trace` (one O(n) pass)."""
         addresses = self.addresses.tolist()

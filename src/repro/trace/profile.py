@@ -123,8 +123,7 @@ class AccessProfile:
             self._build_streamed(trace)
             engine = ENGINE_STREAMED
         elif use_columnar(trace):
-            columnar = trace if isinstance(trace, ColumnarTrace) else trace.columnar()
-            self._build_columnar(columnar)
+            self._build_columnar(trace.columnar())
             engine = ENGINE_VECTORIZED
         else:
             self._build()
@@ -343,14 +342,16 @@ class AccessProfile:
         sequence = np.asarray(self._sequence, dtype=np.int64)
         compact, dense = np.unique(sequence, return_inverse=True)
         span = len(compact)
-        # pair key -> [count, first-encounter rank]; the rank reproduces the
-        # scalar insertion order: at event i the reference pairs against the
-        # window oldest-first, so rank (i * window - offset) orders first by
-        # event, then by descending offset.
-        merged: dict[int, list[int]] = {}
-        for offset in range(1, window):
-            if offset >= len(dense):
-                break
+        # Distinct pair keys seen so far, kept sorted, with each key's count
+        # and first-encounter rank.  The rank reproduces the scalar insertion
+        # order: at event i the reference pairs against the window
+        # oldest-first, so rank (i * window - offset) orders first by event,
+        # then by descending offset.  Memory stays bounded by the number of
+        # distinct pairs, whatever the trace length and window.
+        keys = np.empty(0, dtype=np.int64)
+        counts = np.empty(0, dtype=np.int64)
+        ranks = np.empty(0, dtype=np.int64)
+        for offset in range(1, min(window, len(dense))):
             current = dense[offset:]
             previous = dense[:-offset]
             mask = current != previous
@@ -358,28 +359,26 @@ class AccessProfile:
                 continue
             low = np.minimum(current[mask], previous[mask])
             high = np.maximum(current[mask], previous[mask])
-            keys = low * span + high
-            unique_keys, first_index, counts = np.unique(
-                keys, return_index=True, return_counts=True
+            offset_keys, first_index, offset_counts = np.unique(
+                low * span + high, return_index=True, return_counts=True
             )
-            event_index = np.flatnonzero(mask)[first_index] + offset
-            ranks = event_index * window - offset
-            for key, count, rank in zip(
-                unique_keys.tolist(), counts.tolist(), ranks.tolist()
-            ):
-                entry = merged.get(key)
-                if entry is None:
-                    merged[key] = [count, rank]
-                elif rank < entry[1]:
-                    entry[0] += count
-                    entry[1] = rank
-                else:
-                    entry[0] += count
-        affinity: dict[tuple[int, int], int] = {}
-        for key, (count, _rank) in sorted(merged.items(), key=lambda item: item[1][1]):
-            pair = (int(compact[key // span]), int(compact[key % span]))
-            affinity[pair] = count
-        return affinity
+            offset_ranks = (np.flatnonzero(mask)[first_index] + offset) * window - offset
+            position = np.searchsorted(keys, offset_keys)
+            known = position < len(keys)
+            known[known] = keys[position[known]] == offset_keys[known]
+            # offset_keys are distinct, so each known position appears once
+            # and plain fancy-index updates need no ufunc.at.
+            hit = position[known]
+            counts[hit] += offset_counts[known]
+            ranks[hit] = np.minimum(ranks[hit], offset_ranks[known])
+            fresh = ~known
+            keys = np.insert(keys, position[fresh], offset_keys[fresh])
+            counts = np.insert(counts, position[fresh], offset_counts[fresh])
+            ranks = np.insert(ranks, position[fresh], offset_ranks[fresh])
+        order = np.argsort(ranks, kind="stable")
+        keys = keys[order]
+        pairs = zip(compact[keys // span].tolist(), compact[keys % span].tolist())
+        return dict(zip(pairs, counts[order].tolist()))
 
     def summary(self) -> dict[str, float]:
         """Dictionary of headline profile metrics, handy for reports/tests."""

@@ -35,11 +35,6 @@ __all__ = [
 ]
 
 
-def _columnar_view(trace: Union[Trace, ColumnarTrace]) -> ColumnarTrace:
-    """Columnar view of ``trace`` (cached on scalar traces)."""
-    return trace if isinstance(trace, ColumnarTrace) else trace.columnar()
-
-
 def _ranked_counts(values: np.ndarray) -> list[tuple[int, int]]:
     """``(value, count)`` pairs ordered like ``Counter.most_common``.
 
@@ -63,7 +58,7 @@ def stride_histogram(
     the scalar ranking exactly, ties included.
     """
     if use_columnar(trace):
-        columnar = _columnar_view(trace)
+        columnar = trace.columnar()
         if len(columnar) < 2:
             return []
         ranked = _ranked_counts(np.diff(columnar.addresses))
@@ -101,7 +96,7 @@ def address_entropy(trace: Union[Trace, ColumnarTrace], block_size: int = 32) ->
     if block_size <= 0:
         raise ValueError(f"block_size must be positive, got {block_size}")
     if use_columnar(trace):
-        columnar = _columnar_view(trace)
+        columnar = trace.columnar()
         if not len(columnar):
             return 0.0
         blocks = columnar.block_ids(block_size)
@@ -138,7 +133,7 @@ def region_transition_matrix(
     if region_size <= 0:
         raise ValueError(f"region_size must be positive, got {region_size}")
     if use_columnar(trace):
-        columnar = _columnar_view(trace)
+        columnar = trace.columnar()
         if len(columnar) < 2:
             return {}
         regions = columnar.addresses // region_size

@@ -212,7 +212,7 @@ def save_store(
     """
     if chunk_size <= 0:
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    columnar = trace if isinstance(trace, ColumnarTrace) else trace.columnar()
+    columnar = trace.columnar()
     path = Path(path)
     header = build_store_header(columnar, chunk_size, columnar_digest(columnar))
     scratch = path.with_name(f"{path.name}.packing-{os.getpid()}")

@@ -108,22 +108,48 @@ def test_profile_scalar_and_columnar_agree_exactly(case):
             other.last_time,
         )
     if len(trace) >= 2:
-        window = 8
-        reference: dict[tuple[int, int], int] = {}
-        recent: list[int] = []
-        for block in scalar._sequence:
-            for other_block in recent:
-                if other_block == block:
-                    continue
-                key = (
-                    (block, other_block)
-                    if block < other_block
-                    else (other_block, block)
-                )
-                reference[key] = reference.get(key, 0) + 1
-            recent.append(block)
-            if len(recent) > window - 1:
-                recent.pop(0)
-        assert list(vectorized.affinity_matrix(window).items()) == list(
-            reference.items()
-        )
+        # Dict order is checked too: clustering breaks affinity ties on it.
+        # The last window is longer than any generated sequence.
+        for window in (2, 3, 8, 16, 200):
+            assert list(vectorized.affinity_matrix(window).items()) == list(
+                reference_affinity(scalar._sequence, window).items()
+            )
+
+
+def reference_affinity(sequence: list[int], window: int) -> dict[tuple[int, int], int]:
+    """The scalar sliding-window pair count, in first-encounter order."""
+    reference: dict[tuple[int, int], int] = {}
+    recent: list[int] = []
+    for block in sequence:
+        for other_block in recent:
+            if other_block == block:
+                continue
+            key = (block, other_block) if block < other_block else (other_block, block)
+            reference[key] = reference.get(key, 0) + 1
+        recent.append(block)
+        if len(recent) > window - 1:
+            recent.pop(0)
+    return reference
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(min_value=0, max_value=12), min_size=2, max_size=150),
+    st.sampled_from([2, 3, 8, 16]),
+)
+def test_affinity_vectorized_matches_scalar_on_dense_reuse(blocks, window):
+    # Few distinct blocks: pairs recur across many offsets, which exercises
+    # the merge of counts and first-encounter ranks between offsets.
+    trace = Trace(
+        [MemoryAccess(time=index, address=block * 32) for index, block in enumerate(blocks)],
+        name="dense",
+    )
+    profile = AccessProfile(trace.columnar(), block_size=32)
+    assert list(profile.affinity_matrix(window).items()) == list(
+        reference_affinity(profile._sequence, window).items()
+    )
+
+
+def test_affinity_of_a_single_block_sequence_is_empty():
+    trace = Trace([MemoryAccess(time=index, address=64) for index in range(50)], name="one")
+    assert AccessProfile(trace.columnar(), block_size=32).affinity_matrix(8) == {}

@@ -24,6 +24,7 @@ import pytest
 
 from repro.batch import ResultCache, SweepTask, TraceSpec, run_sweep
 from repro.batch import runner as batch_runner
+from repro.core import FlowConfig, MemoryOptimizationFlow
 from repro.trace import Trace
 from repro.trace.io import trace_digest
 from repro.trace.io import load_store as io_load_store
@@ -191,6 +192,15 @@ class TestStreaming:
     def test_default_chunk_size_is_recorded(self, tmp_path):
         path = save_store(hot_cold_trace(accesses=10), tmp_path / "hc.tstore")
         assert read_store_header(path)["chunk_size"] == DEFAULT_CHUNK_EVENTS
+
+    def test_flow_agrees_over_loaded_streamed_and_scalar_stores(self, tmp_path):
+        # A loaded store is one in-memory ColumnarTrace; the flow must take
+        # it as it takes a streamed store or the scalar trace it came from.
+        path = save_store(hot_cold_trace(accesses=1500), tmp_path / "hc.tstore", chunk_size=256)
+        flow = MemoryOptimizationFlow(FlowConfig(block_size=32, max_banks=4))
+        loaded = flow.run(load_store(path)).to_dict()
+        assert loaded == flow.run(open_store(path)).to_dict()
+        assert loaded == flow.run(load_store(path).to_trace()).to_dict()
 
 
 def corrupt_header_text(path, mutate) -> None:
