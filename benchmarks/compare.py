@@ -201,12 +201,9 @@ def current_manifest() -> dict | None:
     """Manifest of the running environment, when ``repro`` is importable."""
     try:
         from repro.obs.manifest import collect_manifest
-        from repro.trace.columnar import COLUMNAR_THRESHOLD
     except ImportError:
         return None
-    return collect_manifest(
-        engine={"columnar_threshold": COLUMNAR_THRESHOLD}
-    ).to_dict()
+    return collect_manifest().to_dict()
 
 
 def manifest_drift(baseline: dict | None, candidate: dict | None) -> list[str]:

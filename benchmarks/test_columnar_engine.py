@@ -1,35 +1,22 @@
-"""Columnar engine acceptance benchmark: scalar vs vectorized playback.
+"""Columnar playback benchmark: 1M-event partitioned-memory play.
 
-Times both playback engines on a 1M-event synthetic trace and pins the PR's
-acceptance criteria: the vectorized engine must be at least 10x faster than
-the scalar reference *and* produce a bit-identical
-:class:`~repro.memory.partitioned.MemoryEnergyReport`.
-
-The timing assertion deliberately lives in the benchmark suite (not tier-1):
-wall-clock measurement belongs where the harness already measures wall
-clocks, and tier-1 stays load-independent.
+``test_columnar_play_1m`` times one ``PartitionedMemory.play`` over a
+1M-event columnar trace; it is the entry behind CI's ``--select '*play*'``
+regression gate.  Exact agreement of the playback kernels with their scalar
+oracles is checked in the tier-1 suite (``tests/test_properties_*.py``).
 """
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from repro.memory import (
-    PartitionedMemory,
-    SleepPolicy,
-    simulate_bank_sleep_columnar,
-    simulate_bank_sleep_scalar,
-)
-from repro.report import render_table
+from repro.memory import PartitionedMemory
 from repro.trace import ColumnarTrace
 
 from _rounds import bench_rounds
 
 NUM_EVENTS = 1_000_000
 BANK_SIZES = [16384, 16384, 16384, 16384]
-BANK_BASES = [0, 16384, 32768, 49152]
 
 
 def million_event_trace() -> ColumnarTrace:
@@ -46,70 +33,13 @@ def million_event_trace() -> ColumnarTrace:
     )
 
 
-def engine_comparison() -> dict:
-    columnar = million_event_trace()
-    scalar = columnar.to_trace()
-
-    memory_scalar = PartitionedMemory(BANK_SIZES)
-    start_s = time.perf_counter()
-    report_scalar = memory_scalar.play_scalar(scalar)
-    scalar_s = time.perf_counter() - start_s
-
-    memory_vector = PartitionedMemory(BANK_SIZES)
-    start_s = time.perf_counter()
-    report_vector = memory_vector.play_vectorized(columnar)
-    vector_s = time.perf_counter() - start_s
-
-    policy = SleepPolicy(timeout_cycles=200)
-    sleep_scalar = simulate_bank_sleep_scalar(BANK_SIZES, BANK_BASES, scalar, policy)
-    sleep_vector = simulate_bank_sleep_columnar(BANK_SIZES, BANK_BASES, columnar, policy)
-
-    return {
-        "scalar_s": scalar_s,
-        "vector_s": vector_s,
-        "speedup": scalar_s / vector_s,
-        "report_scalar": report_scalar,
-        "report_vector": report_vector,
-        "counts_scalar": memory_scalar.bank_access_counts(),
-        "counts_vector": memory_vector.bank_access_counts(),
-        "sleep_scalar": sleep_scalar,
-        "sleep_vector": sleep_vector,
-    }
-
-
-def test_columnar_engine_speedup_and_identity(benchmark):
-    result = benchmark.pedantic(engine_comparison, rounds=bench_rounds(), iterations=1)
-    print(
-        render_table(
-            ["engine", "1M-event play (ms)"],
-            [
-                ["scalar reference", f"{result['scalar_s'] * 1e3:.1f}"],
-                ["vectorized", f"{result['vector_s'] * 1e3:.1f}"],
-                ["speedup", f"{result['speedup']:.1f}x"],
-            ],
-            title="\ncolumnar engine on 1M events",
-        )
-    )
-    # Bit-identical energy reports — not approximately equal: identical.
-    assert result["report_scalar"].total == result["report_vector"].total
-    assert result["report_scalar"].bank_energy == result["report_vector"].bank_energy
-    assert (
-        result["report_scalar"].decoder_energy
-        == result["report_vector"].decoder_energy
-    )
-    assert result["counts_scalar"] == result["counts_vector"]
-    assert result["sleep_scalar"] == result["sleep_vector"]
-    # The acceptance floor; the measured ratio is typically >20x.
-    assert result["speedup"] >= 10.0
-
-
-def vectorized_play_1m() -> float:
+def play_1m() -> float:
     columnar = million_event_trace()
     memory = PartitionedMemory(BANK_SIZES)
-    return memory.play_vectorized(columnar).total
+    return memory.play(columnar).total
 
 
 def test_columnar_play_1m(benchmark):
-    """Vectorized 1M-event playback alone, tracked by the regression gate."""
-    total_pj = benchmark.pedantic(vectorized_play_1m, rounds=bench_rounds(), iterations=1)
+    """1M-event playback alone, tracked by the regression gate."""
+    total_pj = benchmark.pedantic(play_1m, rounds=bench_rounds(), iterations=1)
     assert total_pj > 0.0

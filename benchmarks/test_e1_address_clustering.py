@@ -142,7 +142,7 @@ def bank_sweep(max_k: int = 16) -> list[dict]:
     layout = IdentityClustering().build_layout(profile)
     reads, writes = layout.counts_in_order(profile)
     model = PartitionCostModel(reads=reads, writes=writes, block_size=32)
-    layout_trace = layout.remap_trace(trace)
+    layout_trace = trace.map_chunks(layout.remap_columnar)
     rows = []
     for k in range(1, max_k + 1):
         result = OptimalPartitioner(max_banks=max_k).partition(model, num_banks=k)

@@ -64,7 +64,7 @@ def sampling_sweep() -> list[dict]:
         reads, writes = layout.counts_in_order(full_profile)
         model = PartitionCostModel(reads=reads, writes=writes, block_size=32)
         spec = OptimalPartitioner(max_banks=4).partition(model).spec
-        energy = simulate_partition(spec, layout.remap_trace(trace)).total
+        energy = simulate_partition(spec, trace.map_chunks(layout.remap_columnar)).total
         rows.append(
             {
                 "rate": sampler.rate,

@@ -69,7 +69,7 @@ def organization_comparison() -> list[dict]:
         ("phase_aware", phase_flow.clustered),
     ):
         sizes, bases = bank_geometry(variant.spec)
-        layout_trace = variant.layout.remap_trace(trace)
+        layout_trace = trace.map_chunks(variant.layout.remap_columnar)
         report = simulate_bank_sleep(
             sizes, bases, layout_trace, policy, sram_model=LEAKY_MODEL
         )
@@ -130,7 +130,7 @@ def timeout_sweep() -> list[dict]:
         FlowConfig(block_size=32, max_banks=6, strategy="identity")
     ).run(trace)
     sizes, bases = bank_geometry(flow.partitioned.spec)
-    layout_trace = flow.partitioned.layout.remap_trace(trace)
+    layout_trace = trace.map_chunks(flow.partitioned.layout.remap_columnar)
     rows = []
     for timeout in (100, 500, 2000, 8000, 32000):
         policy = SleepPolicy(timeout_cycles=timeout)

@@ -168,15 +168,17 @@ def trace_to_application(
     gives the energy-aware scheduler reuse to exploit.  A kernel's context
     is its dominant region index modulo ``num_contexts``.
 
-    Streamed traces (:class:`repro.trace.store.StreamedTrace`) are windowed
-    chunk-by-chunk: region counts accumulate per aligned sub-slice, and a
-    window straddling a chunk boundary merges its parts before emission.
-    Because each kernel's data sets are emitted from a *sorted* region
-    table, the merge order is immaterial and the derived application is
-    identical to the scalar construction.
+    The trace's data accesses are windowed chunk by chunk: region counts
+    accumulate per aligned sub-slice, and a window straddling a chunk
+    boundary merges its parts before emission.  Because each kernel's data
+    sets are emitted from a *sorted* region table, the merge order is
+    immaterial and the derived application does not depend on the chunk
+    size.
     """
+    import numpy as np
+
     from ..reconfig import Application, DataSet, Kernel
-    from ..trace.columnar import is_streamed_trace
+    from ..trace.columnar import KIND_WRITE
 
     if window_events <= 0:
         raise ValueError(f"window_events must be positive, got {window_events}")
@@ -204,61 +206,36 @@ def trace_to_application(
             data_sets=data_sets,
         )
 
-    data = trace.data_accesses()
     kernels = []
-    if is_streamed_trace(data):
-        import numpy as np
-
-        from ..trace.columnar import KIND_WRITE
-
-        regions: dict = {}
-        fill = 0
-        window_index = 0
-        for chunk in data.chunks():
-            if not len(chunk):
-                continue
-            region_ids = chunk.addresses // region_bytes
-            write_mask = chunk.kinds == KIND_WRITE
-            offset = 0
-            while offset < len(chunk):
-                take = min(window_events - fill, len(chunk) - offset)
-                sub = slice(offset, offset + take)
-                unique, inverse = np.unique(region_ids[sub], return_inverse=True)
-                sub_writes = np.bincount(
-                    inverse[write_mask[sub]], minlength=len(unique)
-                )
-                sub_totals = np.bincount(inverse, minlength=len(unique))
-                sub_reads = sub_totals - sub_writes
-                for region, region_reads, region_writes in zip(
-                    unique.tolist(), sub_reads.tolist(), sub_writes.tolist()
-                ):
-                    reads, writes = regions.get(region, (0, 0))
-                    regions[region] = (reads + region_reads, writes + region_writes)
-                fill += take
-                offset += take
-                if fill == window_events:
-                    if regions:
-                        kernels.append(emit_kernel(window_index, regions))
-                    window_index += 1
-                    regions = {}
-                    fill = 0
-        if regions:
-            kernels.append(emit_kernel(window_index, regions))
-    else:
-        for start in range(0, len(data), window_events):
-            window = data[start : start + window_events]
-            regions = {}
-            for event in window:
-                region = event.address // region_bytes
+    regions: dict = {}
+    fill = 0
+    window_index = 0
+    for chunk in trace.chunks():
+        chunk = chunk.data_accesses()
+        region_ids = chunk.addresses // region_bytes
+        write_mask = chunk.kinds == KIND_WRITE
+        offset = 0
+        while offset < len(chunk):
+            take = min(window_events - fill, len(chunk) - offset)
+            sub = slice(offset, offset + take)
+            unique, inverse = np.unique(region_ids[sub], return_inverse=True)
+            sub_writes = np.bincount(inverse[write_mask[sub]], minlength=len(unique))
+            sub_totals = np.bincount(inverse, minlength=len(unique))
+            sub_reads = sub_totals - sub_writes
+            for region, region_reads, region_writes in zip(
+                unique.tolist(), sub_reads.tolist(), sub_writes.tolist()
+            ):
                 reads, writes = regions.get(region, (0, 0))
-                if event.is_write:
-                    writes += 1
-                else:
-                    reads += 1
-                regions[region] = (reads, writes)
-            if not regions:
-                continue
-            kernels.append(emit_kernel(start // window_events, regions))
+                regions[region] = (reads + region_reads, writes + region_writes)
+            fill += take
+            offset += take
+            if fill == window_events:
+                kernels.append(emit_kernel(window_index, regions))
+                window_index += 1
+                regions = {}
+                fill = 0
+    if regions:
+        kernels.append(emit_kernel(window_index, regions))
     if not kernels:
         raise ValueError(
             f"trace {trace.name!r} has no data accesses; cannot derive an "

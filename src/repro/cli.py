@@ -21,8 +21,8 @@ Subcommands
     counters, manifest) for later ``repro obs`` inspection.
 ``obs LOG``
     Read a JSONL observability log and print the run manifest, per-stage
-    wall-time and energy breakdown, scalar-vs-vectorized engine routing,
-    and the exact energy reconciliation check.
+    wall-time and energy breakdown, and the exact energy reconciliation
+    check.
 ``compress KERNEL``
     Run a kernel on a platform with and without a compression codec (E2).
 ``encode KERNEL``
@@ -47,10 +47,6 @@ Subcommands
     result caching (``--cache-dir`` / ``--no-cache``), process fan-out
     (``--jobs``), retry with capped backoff, and a merged results table
     (``--format table|json|csv``).
-``bench``
-    Time the scalar vs vectorized (columnar) playback engines on synthetic
-    traces of growing size, verify bit-identical energy reports, and write
-    the measurements to ``BENCH_columnar.json``.
 ``benchreport RUN.json``
     Render a pytest-benchmark JSON export (plus, optionally, the committed
     baseline and ``repro.obs`` JSONL run logs) into a zero-dependency
@@ -90,11 +86,7 @@ from .trace import (
     save_npz,
 )
 
-__all__ = ["main", "build_parser", "BENCH_SCHEMA_VERSION"]
-
-#: Version of the ``BENCH_columnar.json`` payload layout (stamped as its
-#: ``"schema"`` key; pinned by the schema registry).
-BENCH_SCHEMA_VERSION = 1
+__all__ = ["main", "build_parser"]
 
 _CODECS = {
     "differential": DifferentialCodec,
@@ -264,8 +256,6 @@ def _cmd_obs(args) -> int:
             value = log.manifest.get(key)
             if value is not None:
                 print(f"  {key + ':':17s}{value}")
-        for key, value in (log.manifest.get("engine") or {}).items():
-            print(f"  {key + ':':17s}{value}")
         for key, value in (log.manifest.get("extra") or {}).items():
             print(f"  {key + ':':17s}{value}")
     else:
@@ -312,17 +302,6 @@ def _cmd_obs(args) -> int:
                     for stage, summed, reported, exact in reconciliation
                 ],
                 title="energy reconciliation",
-            )
-        )
-
-    engine_rows = log.engine_rows()
-    if engine_rows:
-        print()
-        print(
-            render_table(
-                ["layer", "engine", "calls"],
-                list(engine_rows),
-                title="engine routing (scalar vs vectorized)",
             )
         )
 
@@ -512,134 +491,6 @@ def _lint_fix_suffixes(args) -> int:
         print(suggestion.render())
     noun = "rename" if len(suggestions) == 1 else "renames"
     print(f"{len(suggestions)} suggested {noun} in {len(files)} files scanned (dry run)")
-    return 0
-
-
-def _make_bench_trace(num_events: int, seed: int):
-    """Synthetic hot/cold columnar trace for the engine benchmark."""
-    import numpy as np
-
-    from .trace.columnar import ColumnarTrace
-
-    rng = np.random.default_rng(seed)
-    hot = rng.random(num_events) < 0.8
-    addresses = np.where(
-        hot,
-        rng.integers(0, 2048, size=num_events) * 4,
-        rng.integers(2048, 16384, size=num_events) * 4,
-    ).astype(np.int64)
-    kinds = (rng.random(num_events) < 0.25).astype(np.uint8)
-    timestamps = np.arange(num_events, dtype=np.int64)
-    return ColumnarTrace.from_arrays(
-        addresses, timestamps, kinds=kinds, name=f"bench_{num_events}"
-    )
-
-
-def _cmd_bench(args) -> int:
-    import json
-    import time
-
-    from .memory import (
-        PartitionedMemory,
-        SleepPolicy,
-        simulate_bank_sleep_columnar,
-        simulate_bank_sleep_scalar,
-    )
-
-    bank_sizes = [16384, 16384, 16384, 16384]
-    bank_bases = [0, 16384, 32768, 49152]
-    policy = SleepPolicy(timeout_cycles=200)
-    results = []
-    for num_events in args.events or [10_000, 100_000, 1_000_000]:
-        columnar = _make_bench_trace(num_events, args.seed)
-        scalar = columnar.to_trace()
-
-        memory_scalar = PartitionedMemory(bank_sizes)
-        start_seconds = time.perf_counter()  # repro: lint-ignore[DET001]
-        report_scalar = memory_scalar.play_scalar(scalar)
-        scalar_play_seconds = time.perf_counter() - start_seconds  # repro: lint-ignore[DET001]
-
-        memory_vector = PartitionedMemory(bank_sizes)
-        start_seconds = time.perf_counter()  # repro: lint-ignore[DET001]
-        report_vector = memory_vector.play_vectorized(columnar)
-        vector_play_seconds = time.perf_counter() - start_seconds  # repro: lint-ignore[DET001]
-        if report_scalar.total != report_vector.total:
-            raise SystemExit(
-                f"error: scalar/vectorized play diverged at {num_events} events"
-            )
-        results.append(
-            {
-                "experiment": "play",
-                "events": num_events,
-                "scalar_ms": scalar_play_seconds * 1e3,
-                "vectorized_ms": vector_play_seconds * 1e3,
-                "speedup": scalar_play_seconds / vector_play_seconds if vector_play_seconds else 0.0,
-                "identical": True,
-            }
-        )
-
-        start_seconds = time.perf_counter()  # repro: lint-ignore[DET001]
-        sleep_scalar = simulate_bank_sleep_scalar(bank_sizes, bank_bases, scalar, policy)
-        scalar_sleep_seconds = time.perf_counter() - start_seconds  # repro: lint-ignore[DET001]
-        start_seconds = time.perf_counter()  # repro: lint-ignore[DET001]
-        sleep_vector = simulate_bank_sleep_columnar(
-            bank_sizes, bank_bases, columnar, policy
-        )
-        vector_sleep_seconds = time.perf_counter() - start_seconds  # repro: lint-ignore[DET001]
-        if sleep_scalar != sleep_vector:
-            raise SystemExit(
-                f"error: scalar/columnar bank-sleep diverged at {num_events} events"
-            )
-        results.append(
-            {
-                "experiment": "bank_sleep",
-                "events": num_events,
-                "scalar_ms": scalar_sleep_seconds * 1e3,
-                "vectorized_ms": vector_sleep_seconds * 1e3,
-                "speedup": scalar_sleep_seconds / vector_sleep_seconds if vector_sleep_seconds else 0.0,
-                "identical": True,
-            }
-        )
-
-    print(
-        render_table(
-            ["experiment", "events", "scalar (ms)", "vectorized (ms)", "speedup"],
-            [
-                [
-                    row["experiment"],
-                    row["events"],
-                    f"{row['scalar_ms']:.1f}",
-                    f"{row['vectorized_ms']:.1f}",
-                    f"{row['speedup']:.1f}x",
-                ]
-                for row in results
-            ],
-            title="columnar engine: scalar vs vectorized playback",
-        )
-    )
-    from .obs import collect_manifest
-    from .trace.columnar import COLUMNAR_THRESHOLD
-
-    manifest = collect_manifest(
-        seed=args.seed, engine={"columnar_threshold": COLUMNAR_THRESHOLD}
-    )
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / "BENCH_columnar.json"
-    out_path.write_text(
-        json.dumps(
-            {
-                "schema": BENCH_SCHEMA_VERSION,
-                "generated_by": "repro bench",
-                "manifest": manifest.to_dict(),
-                "results": results,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
-    )
-    print(f"\nmeasurements written to {out_path}")
     return 0
 
 
@@ -1079,20 +930,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --fix-suffixes: report the renames without applying them",
     )
     lint.set_defaults(func=_cmd_lint)
-
-    bench = subparsers.add_parser(
-        "bench", help="time scalar vs vectorized playback engines"
-    )
-    bench.add_argument(
-        "--events", type=int, action="append", metavar="N", default=None,
-        help="trace sizes to time (repeatable; default 10k, 100k, 1M)",
-    )
-    bench.add_argument("--seed", type=int, default=7)
-    bench.add_argument(
-        "--out", default=".", metavar="DIR",
-        help="directory receiving BENCH_columnar.json",
-    )
-    bench.set_defaults(func=_cmd_bench)
 
     benchreport = subparsers.add_parser(
         "benchreport",

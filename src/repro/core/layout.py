@@ -18,7 +18,6 @@ import numpy as np
 
 from ..trace.columnar import ColumnarTrace
 from ..trace.profile import AccessProfile
-from ..trace.trace import Trace
 
 __all__ = ["BlockLayout"]
 
@@ -88,16 +87,12 @@ class BlockLayout:
         block, offset = divmod(address, self.block_size)
         return self._position[block] * self.block_size + offset
 
-    def remap_trace(self, trace: Trace) -> Trace:
-        """Remap every event of ``trace`` into layout space."""
-        return trace.remap(self.remap_address, name=f"{trace.name}@{self.name}")
-
     def remap_columnar(self, columnar: ColumnarTrace) -> ColumnarTrace:
-        """Vectorized :meth:`remap_trace` over a columnar trace.
+        """Remap every event of a columnar trace (or chunk) into layout space.
 
         Position lookup is one ``searchsorted`` against the sorted block
         order; addresses of blocks absent from the layout raise ``KeyError``
-        exactly like the scalar path.
+        exactly like :meth:`remap_address`.
         """
         blocks = columnar.addresses // self.block_size
         offsets = columnar.addresses - blocks * self.block_size

@@ -21,34 +21,14 @@ from typing import Union
 
 import numpy as np
 
-from ..obs.counters import (
-    ENGINE_SCALAR,
-    ENGINE_STREAMED,
-    ENGINE_VECTORIZED,
-    SLEEP_ENERGY_PJ,
-    SLEEP_ENGINE,
-    SLEEP_WAKE_EVENTS,
-)
+from ..obs.counters import SLEEP_ENERGY_PJ, SLEEP_WAKE_EVENTS
 from ..obs.recorder import Recorder
 from ..obs.spans import span
-from ..trace.columnar import (
-    ColumnarTrace,
-    assign_banks,
-    idle_interval_split,
-    is_streamed_trace,
-    use_columnar,
-)
+from ..trace.columnar import ColumnarTrace, assign_banks, idle_interval_split
 from ..trace.trace import Trace
 from .energy import SRAMEnergyModel
 
-__all__ = [
-    "SleepPolicy",
-    "BankSleepReport",
-    "simulate_bank_sleep",
-    "simulate_bank_sleep_scalar",
-    "simulate_bank_sleep_columnar",
-    "simulate_bank_sleep_streamed",
-]
+__all__ = ["SleepPolicy", "BankSleepReport", "simulate_bank_sleep"]
 
 
 @dataclass(frozen=True)
@@ -116,38 +96,88 @@ def simulate_bank_sleep(
 
     ``bank_bases[i]``/``bank_sizes[i]`` describe the address window of bank
     ``i`` (contiguous, ascending).  Timestamps in the trace are cycles.
+    ``layout_trace`` is anything that answers the chunk protocol.
 
-    Traces at or above the columnar threshold (and any
-    :class:`~repro.trace.columnar.ColumnarTrace`) are routed through
-    :func:`simulate_bank_sleep_columnar`; smaller scalar traces take
-    :func:`simulate_bank_sleep_scalar`.  Both produce bit-identical reports.
+    Each chunk assigns banks with one ``searchsorted`` and groups each
+    bank's timestamps with a stable sort; across chunks the per-bank state
+    carried forward is just ``(first_time, last_time)`` plus the integer
+    ``(awake, asleep, wakes)`` triple.  A bank's carried ``last_time`` is
+    prepended to its times in the next chunk, so an idle interval that
+    straddles a chunk boundary is split by the same
+    :func:`~repro.trace.columnar.idle_interval_split` rule as any other —
+    and the report, folded once through :func:`_accumulate_sleep_report`,
+    does not depend on the chunk size.
 
     ``recorder`` brackets the simulation in a ``sleep`` span and receives
-    the engine path, wake-event count, and leakage energy components.
+    the wake-event count and leakage energy components.
     """
     with span(recorder, "sleep", banks=len(bank_sizes)):
-        if is_streamed_trace(layout_trace):
-            return simulate_bank_sleep_streamed(
-                bank_sizes, bank_bases, layout_trace, policy, sram_model,
-                cycle_time_ns, recorder,
+        if len(bank_sizes) != len(bank_bases):
+            raise ValueError(
+                f"bank_sizes ({len(bank_sizes)}) and bank_bases "
+                f"({len(bank_bases)}) must align"
             )
-        if use_columnar(layout_trace):
-            return simulate_bank_sleep_columnar(
-                bank_sizes, bank_bases, layout_trace.columnar(), policy, sram_model,
-                cycle_time_ns, recorder,
-            )
-        return simulate_bank_sleep_scalar(
-            bank_sizes, bank_bases, layout_trace, policy, sram_model,
-            cycle_time_ns, recorder,
+        if sram_model is None:
+            sram_model = SRAMEnergyModel()
+        bases = np.asarray(bank_bases, dtype=np.int64)
+        limits = bases + np.asarray(bank_sizes, dtype=np.int64)
+        num_banks = len(bank_sizes)
+        awake = [0] * num_banks
+        asleep = [0] * num_banks
+        wakes = [0] * num_banks
+        first_times: list[int | None] = [None] * num_banks
+        last_times: list[int | None] = [None] * num_banks
+        start_cycles: int | None = None
+        end_cycles = 0
+
+        for chunk in layout_trace.chunks():
+            if not len(chunk):
+                continue
+            if start_cycles is None:
+                start_cycles = int(chunk.timestamps[0])
+            end_cycles = int(chunk.timestamps[-1])
+            bank_ids = assign_banks(chunk.addresses, bases, limits)
+            order = np.argsort(bank_ids, kind="stable")
+            grouped_banks = bank_ids[order]
+            grouped_times = chunk.timestamps[order]
+            boundaries = np.flatnonzero(np.diff(grouped_banks)) + 1
+            starts = np.concatenate(([0], boundaries))
+            ends = np.concatenate((boundaries, [len(grouped_banks)]))
+            for seg_start, seg_end in zip(starts, ends):
+                index = int(grouped_banks[seg_start])
+                times = grouped_times[seg_start:seg_end]
+                if last_times[index] is None:
+                    first_times[index] = int(times[0])
+                else:
+                    # The gap across the chunk boundary splits like the rest.
+                    times = np.concatenate(([last_times[index]], times))
+                seg_awake, seg_asleep, seg_wakes = idle_interval_split(
+                    times, policy.timeout_cycles
+                )
+                awake[index] += seg_awake
+                asleep[index] += seg_asleep
+                wakes[index] += seg_wakes
+                last_times[index] = int(times[-1])
+
+        if start_cycles is None:
+            return _record_sleep(recorder, BankSleepReport(0.0, 0.0, 0, 0.0, 0.0))
+        report = _accumulate_sleep_report(
+            bank_sizes,
+            list(zip(awake, asleep, wakes)),
+            first_times,
+            last_times,
+            start_cycles,
+            end_cycles,
+            policy,
+            sram_model,
+            cycle_time_ns,
         )
+        return _record_sleep(recorder, report)
 
 
-def _record_sleep(
-    recorder: Recorder | None, engine: str, report: BankSleepReport
-) -> BankSleepReport:
+def _record_sleep(recorder: Recorder | None, report: BankSleepReport) -> BankSleepReport:
     """Flush one sleep simulation's counters; returns ``report`` unchanged."""
     if recorder is not None and recorder.enabled:
-        recorder.counter(SLEEP_ENGINE, 1, path=engine)
         recorder.counter(SLEEP_WAKE_EVENTS, report.wake_events)
         recorder.counter(SLEEP_ENERGY_PJ, report.managed_leakage, component="managed")
         recorder.counter(SLEEP_ENERGY_PJ, report.wake_energy, component="wake")
@@ -155,247 +185,6 @@ def _record_sleep(
             SLEEP_ENERGY_PJ, report.always_on_leakage, component="always_on"
         )
     return report
-
-
-def _check_bank_geometry(bank_sizes: list[int], bank_bases: list[int]) -> None:
-    """Validate the parallel bank-geometry lists."""
-    if len(bank_sizes) != len(bank_bases):
-        raise ValueError(
-            f"bank_sizes ({len(bank_sizes)}) and bank_bases "
-            f"({len(bank_bases)}) must align"
-        )
-
-
-def simulate_bank_sleep_scalar(
-    bank_sizes: list[int],
-    bank_bases: list[int],
-    layout_trace: Trace,
-    policy: SleepPolicy,
-    sram_model: SRAMEnergyModel | None = None,
-    cycle_time_ns: float = 10.0,
-    recorder: Recorder | None = None,
-) -> BankSleepReport:
-    """Reference implementation of :func:`simulate_bank_sleep`.
-
-    One event at a time; the per-bank accounting arithmetic is shared with
-    the columnar path via :func:`_accumulate_sleep_report`.
-    """
-    _check_bank_geometry(bank_sizes, bank_bases)
-    if sram_model is None:
-        sram_model = SRAMEnergyModel()
-    if not len(layout_trace):
-        return _record_sleep(
-            recorder, ENGINE_SCALAR, BankSleepReport(0.0, 0.0, 0, 0.0, 0.0)
-        )
-
-    start_cycles = layout_trace.events[0].time
-    end_cycles = layout_trace.events[-1].time
-
-    # Per-bank access times, in trace order.
-    access_times: list[list[int]] = [[] for _ in bank_sizes]
-    limits = [base + size for base, size in zip(bank_bases, bank_sizes)]
-    for event in layout_trace:
-        for index, (base, limit) in enumerate(zip(bank_bases, limits)):
-            if base <= event.address < limit:
-                access_times[index].append(event.time)
-                break
-        else:
-            raise ValueError(f"address {event.address:#x} outside every bank")
-
-    per_bank: list[tuple[int, int, int]] = []
-    for times in access_times:
-        if not times:
-            per_bank.append((0, 0, 0))
-            continue
-        awake_cycles = 0
-        asleep_cycles = 0
-        wakes = 0
-        for previous, current in zip(times, times[1:]):
-            gap_cycles = current - previous
-            if gap_cycles > policy.timeout_cycles:
-                awake_cycles += policy.timeout_cycles
-                asleep_cycles += gap_cycles - policy.timeout_cycles
-                wakes += 1
-            else:
-                awake_cycles += gap_cycles
-        per_bank.append((awake_cycles, asleep_cycles, wakes))
-
-    first_times = [times[0] if times else None for times in access_times]
-    last_times = [times[-1] if times else None for times in access_times]
-    report = _accumulate_sleep_report(
-        bank_sizes,
-        per_bank,
-        first_times,
-        last_times,
-        start_cycles,
-        end_cycles,
-        policy,
-        sram_model,
-        cycle_time_ns,
-    )
-    return _record_sleep(recorder, ENGINE_SCALAR, report)
-
-
-def simulate_bank_sleep_columnar(
-    bank_sizes: list[int],
-    bank_bases: list[int],
-    layout_trace: ColumnarTrace,
-    policy: SleepPolicy,
-    sram_model: SRAMEnergyModel | None = None,
-    cycle_time_ns: float = 10.0,
-    recorder: Recorder | None = None,
-) -> BankSleepReport:
-    """Batched :func:`simulate_bank_sleep`: idle-interval detection with
-    :func:`numpy.diff` over per-bank timestamp groups.
-
-    Bank assignment is one ``searchsorted``; a stable sort groups each
-    bank's timestamps while preserving trace order; the integer gap
-    arithmetic is exact, and the final float accumulation is shared with
-    the scalar reference — reports are bit-identical.
-    """
-    _check_bank_geometry(bank_sizes, bank_bases)
-    if sram_model is None:
-        sram_model = SRAMEnergyModel()
-    if not len(layout_trace):
-        return _record_sleep(
-            recorder, ENGINE_VECTORIZED, BankSleepReport(0.0, 0.0, 0, 0.0, 0.0)
-        )
-
-    start_cycles = int(layout_trace.timestamps[0])
-    end_cycles = int(layout_trace.timestamps[-1])
-
-    bases = np.asarray(bank_bases, dtype=np.int64)
-    limits = bases + np.asarray(bank_sizes, dtype=np.int64)
-    bank_ids = assign_banks(layout_trace.addresses, bases, limits)
-
-    # Group timestamps by bank, preserving trace order within each bank.
-    order = np.argsort(bank_ids, kind="stable")
-    grouped_banks = bank_ids[order]
-    grouped_times = layout_trace.timestamps[order]
-    boundaries = np.flatnonzero(np.diff(grouped_banks)) + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [len(grouped_banks)]))
-    segment_of = {int(grouped_banks[s]): (int(s), int(e)) for s, e in zip(starts, ends)}
-
-    per_bank: list[tuple[int, int, int]] = []
-    first_times: list[int | None] = []
-    last_times: list[int | None] = []
-    for index in range(len(bank_sizes)):
-        segment = segment_of.get(index)
-        if segment is None:
-            per_bank.append((0, 0, 0))
-            first_times.append(None)
-            last_times.append(None)
-            continue
-        times = grouped_times[segment[0] : segment[1]]
-        per_bank.append(idle_interval_split(times, policy.timeout_cycles))
-        first_times.append(int(times[0]))
-        last_times.append(int(times[-1]))
-
-    report = _accumulate_sleep_report(
-        bank_sizes,
-        per_bank,
-        first_times,
-        last_times,
-        start_cycles,
-        end_cycles,
-        policy,
-        sram_model,
-        cycle_time_ns,
-    )
-    return _record_sleep(recorder, ENGINE_VECTORIZED, report)
-
-
-def simulate_bank_sleep_streamed(
-    bank_sizes: list[int],
-    bank_bases: list[int],
-    layout_trace,
-    policy: SleepPolicy,
-    sram_model: SRAMEnergyModel | None = None,
-    cycle_time_ns: float = 10.0,
-    recorder: Recorder | None = None,
-) -> BankSleepReport:
-    """Chunked :func:`simulate_bank_sleep` over a streamed trace.
-
-    Each chunk runs the columnar per-bank grouping; across chunks the
-    per-bank state carried forward is just ``(first_time, last_time)`` plus
-    the integer ``(awake, asleep, wakes)`` triple.  An idle interval that
-    straddles a chunk boundary is exactly the gap between a bank's carried
-    ``last_time`` and its first access in the next chunk, split by the same
-    ``min(gap, timeout)``/excess/``+1 wake`` rule the in-chunk kernel
-    applies — so the accumulated triples equal a whole-trace pass event for
-    event, and the report (folded once through
-    :func:`_accumulate_sleep_report`) is bit-identical to the scalar and
-    columnar engines.
-    """
-    _check_bank_geometry(bank_sizes, bank_bases)
-    if sram_model is None:
-        sram_model = SRAMEnergyModel()
-
-    bases = np.asarray(bank_bases, dtype=np.int64)
-    limits = bases + np.asarray(bank_sizes, dtype=np.int64)
-    num_banks = len(bank_sizes)
-    awake = [0] * num_banks
-    asleep = [0] * num_banks
-    wakes = [0] * num_banks
-    first_times: list[int | None] = [None] * num_banks
-    last_times: list[int | None] = [None] * num_banks
-    start_cycles: int | None = None
-    end_cycles = 0
-
-    for chunk in layout_trace.chunks():
-        if not len(chunk):
-            continue
-        if start_cycles is None:
-            start_cycles = int(chunk.timestamps[0])
-        end_cycles = int(chunk.timestamps[-1])
-        bank_ids = assign_banks(chunk.addresses, bases, limits)
-        order = np.argsort(bank_ids, kind="stable")
-        grouped_banks = bank_ids[order]
-        grouped_times = chunk.timestamps[order]
-        boundaries = np.flatnonzero(np.diff(grouped_banks)) + 1
-        starts = np.concatenate(([0], boundaries))
-        ends = np.concatenate((boundaries, [len(grouped_banks)]))
-        for seg_start, seg_end in zip(starts, ends):
-            index = int(grouped_banks[seg_start])
-            times = grouped_times[seg_start:seg_end]
-            previous = last_times[index]
-            if previous is not None:
-                # Boundary gap between chunks: same split rule as in-chunk.
-                gap_cycles = int(times[0]) - previous
-                if gap_cycles > policy.timeout_cycles:
-                    awake[index] += policy.timeout_cycles
-                    asleep[index] += gap_cycles - policy.timeout_cycles
-                    wakes[index] += 1
-                else:
-                    awake[index] += gap_cycles
-            seg_awake, seg_asleep, seg_wakes = idle_interval_split(
-                times, policy.timeout_cycles
-            )
-            awake[index] += seg_awake
-            asleep[index] += seg_asleep
-            wakes[index] += seg_wakes
-            if first_times[index] is None:
-                first_times[index] = int(times[0])
-            last_times[index] = int(times[-1])
-
-    if start_cycles is None:
-        return _record_sleep(
-            recorder, ENGINE_STREAMED, BankSleepReport(0.0, 0.0, 0, 0.0, 0.0)
-        )
-    per_bank = list(zip(awake, asleep, wakes))
-    report = _accumulate_sleep_report(
-        bank_sizes,
-        per_bank,
-        first_times,
-        last_times,
-        start_cycles,
-        end_cycles,
-        policy,
-        sram_model,
-        cycle_time_ns,
-    )
-    return _record_sleep(recorder, ENGINE_STREAMED, report)
 
 
 def _accumulate_sleep_report(
@@ -411,10 +200,8 @@ def _accumulate_sleep_report(
 ) -> BankSleepReport:
     """Fold per-bank gap splits into the final report.
 
-    This is the single definition of the leakage arithmetic: the scalar and
-    columnar paths both land here with identical integer cycle counts, and
-    the float accumulation visits banks in index order, so the two paths'
-    reports are bit-identical.
+    This is the single definition of the leakage arithmetic: integer cycle
+    counts in, float accumulation visiting banks in index order.
     """
     duration_cycles = end_cycles - start_cycles + 1
     always_on_pj = sum(

@@ -1,9 +1,8 @@
 """Reading and aggregating JSONL run logs (the ``repro obs`` backend).
 
 This module turns a recorded log back into answers: which stages ran and
-how long each took (span tree), which engine path each playback layer
-took (routing), how the per-stage energy counters add up, and whether
-those sums reconcile *exactly* with the flow's reported totals.
+how long each took (span tree), how the per-stage energy counters add up,
+and whether those sums reconcile *exactly* with the flow's reported totals.
 
 It returns plain data (dataclasses, lists of rows); rendering belongs to
 the CLI, which may use :mod:`repro.report` — a leaf this substrate package
@@ -17,18 +16,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Union
 
-from .counters import (
-    ENGINE_COUNTERS,
-    FLOW_TOTAL_PJ,
-    STAGE_ENERGY_PJ,
-    CounterRegistry,
-)
+from .counters import FLOW_TOTAL_PJ, STAGE_ENERGY_PJ, CounterRegistry
 from .recorder import SCHEMA_VERSION
 
 __all__ = ["OBS_REPORT_SCHEMA_VERSION", "SpanRecord", "ObsLog", "read_log"]
 
-#: Version of the machine-readable ``repro obs --format json`` document.
-OBS_REPORT_SCHEMA_VERSION = 1
+#: Version of the machine-readable ``repro obs --format json`` document
+#: (2: the ``engine_routing`` field is gone).
+OBS_REPORT_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -85,20 +80,6 @@ class ObsLog:
                 )
         return [records[span_id] for span_id in order if span_id in records]
 
-    def engine_rows(self) -> list[tuple[str, str, int]]:
-        """Routing decisions: ``(layer_counter, path, calls)`` rows.
-
-        One row per engine-path label of each ``*.engine`` counter, in the
-        declared layer order — the scalar-vs-columnar routing table.
-        """
-        registry = self.counters()
-        rows: list[tuple[str, str, int]] = []
-        for name in ENGINE_COUNTERS:
-            for key, count in registry.series(name).items():
-                labels = dict(key)
-                rows.append((name, str(labels.get("path", "?")), int(count)))
-        return rows
-
     def stage_energy_rows(self) -> list[tuple[str, str, float]]:
         """Per-stage energy contributions: ``(stage, component, pJ)`` rows."""
         rows: list[tuple[str, str, float]] = []
@@ -136,9 +117,9 @@ class ObsLog:
 
         Everything ``repro obs`` renders as tables, as one JSON-ready dict
         (:data:`OBS_REPORT_SCHEMA_VERSION`): the manifest, the span tree,
-        counter totals, per-stage energy, engine routing, and the exact
-        reconciliation verdicts — so CI asserts on fields instead of
-        scraping table text.  Values stay full-precision floats.
+        counter totals, per-stage energy, and the exact reconciliation
+        verdicts — so CI asserts on fields instead of scraping table text.
+        Values stay full-precision floats.
         """
         registry = self.counters()
         counters = [
@@ -173,10 +154,6 @@ class ObsLog:
             "stage_energy": [
                 {"stage": stage, "component": component, "energy_pj": value}
                 for stage, component, value in self.stage_energy_rows()
-            ],
-            "engine_routing": [
-                {"counter": name, "path": path, "calls": calls}
-                for name, path, calls in self.engine_rows()
             ],
             "reconciliation": reconciliation,
             "reconciled": all(row["exact"] for row in reconciliation),

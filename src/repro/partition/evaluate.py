@@ -17,7 +17,7 @@ import numpy as np
 from ..memory.energy import DecoderEnergyModel, SRAMEnergyModel
 from ..memory.partitioned import PartitionedMemory
 from ..obs.recorder import Recorder
-from ..trace.columnar import ColumnarTrace, is_streamed_trace
+from ..trace.columnar import ColumnarTrace
 from ..trace.trace import Trace
 from .spec import PartitionSpec
 
@@ -108,26 +108,9 @@ def _simulate_rounded(
     for blocks in spec.bank_blocks:
         exact_edges.append(exact_edges[-1] + blocks * spec.block_size)
     physical_bases = [bank.base for bank in memory.banks]
-
-    def translate(address: int) -> int:
-        # Find the bank via the exact extents, then rebase into the physical bank.
-        low, high = 0, len(exact_edges) - 2
-        while low < high:
-            mid = (low + high) // 2
-            if address < exact_edges[mid + 1]:
-                high = mid
-            else:
-                low = mid + 1
-        return physical_bases[low] + (address - exact_edges[low])
-
-    if is_streamed_trace(layout_trace):
-        translated = layout_trace.map_chunks(
-            lambda chunk: _translate_columnar(chunk, exact_edges, physical_bases)
-        )
-    elif isinstance(layout_trace, ColumnarTrace):
-        translated = _translate_columnar(layout_trace, exact_edges, physical_bases)
-    else:
-        translated = layout_trace.remap(translate)
+    translated = layout_trace.map_chunks(
+        lambda chunk: _translate_columnar(chunk, exact_edges, physical_bases)
+    )
     report = memory.play(translated, include_leakage=include_leakage, recorder=recorder)
     return SimulatedPartitionEnergy(
         bank_energy=report.bank_energy,
@@ -143,11 +126,10 @@ def _translate_columnar(
     exact_edges: list[int],
     physical_bases: list[int],
 ) -> ColumnarTrace:
-    """Vectorized exact-extent → physical-bank address translation.
+    """Exact-extent → physical-bank address translation of one chunk.
 
-    One ``searchsorted`` against the exact upper edges replaces the scalar
-    per-address binary search; out-of-range addresses clamp to the last bank,
-    matching the scalar ``translate`` closure above.
+    One ``searchsorted`` against the exact upper edges finds each address's
+    bank; out-of-range addresses clamp to the last bank.
     """
     uppers = np.asarray(exact_edges[1:], dtype=np.int64)
     lowers = np.asarray(exact_edges[:-1], dtype=np.int64)

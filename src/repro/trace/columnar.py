@@ -1,15 +1,14 @@
 """Columnar (structure-of-arrays) trace representation and vectorized kernels.
 
 The scalar :class:`~repro.trace.trace.Trace` stores one Python object per
-event, which is the right interface for producers and for small traces — but
-every hot consumer (memory playback, sleep simulation, profiling, affinity
-construction) then pays a Python-level loop per event, capping practical
-trace sizes around a few hundred thousand events.  A :class:`ColumnarTrace`
-holds the same information as parallel NumPy arrays (``addresses``,
-``timestamps``, ``kinds``, ``sizes``, ``spaces``), so those consumers can run
-as vectorized kernels instead: bank assignment is one
-:func:`numpy.searchsorted`, per-bank access counts are one
-:func:`numpy.bincount`, idle-interval detection is one :func:`numpy.diff`.
+event, which is the right interface for producers — but every hot consumer
+(memory playback, sleep simulation, profiling, affinity construction) would
+then pay a Python-level loop per event.  A :class:`ColumnarTrace` holds the
+same information as parallel NumPy arrays (``addresses``, ``timestamps``,
+``kinds``, ``sizes``, ``spaces``), so those consumers run as vectorized
+kernels instead: bank assignment is one :func:`numpy.searchsorted`, per-bank
+access counts are one :func:`numpy.bincount`, idle-interval detection is one
+:func:`numpy.diff`.
 
 Conversion contract
 -------------------
@@ -18,23 +17,24 @@ coerced); ``from_trace``/``to_trace`` are single O(n) passes.  A round trip
 through ``from_trace``/``to_trace`` reproduces every event field, including
 optional value payloads.
 
-Equivalence contract
---------------------
-Every vectorized kernel in this package is paired with a scalar reference
-implementation and must agree with it *exactly* — integer results
-(counts, cycles, wake events) are identical by construction, and energy
-totals are bit-identical because both paths evaluate the same per-bank
-``count x coefficient`` products in the same order (see
-``tests/test_properties_columnar.py``).
-
-Consumers switch to the columnar engine automatically once a trace reaches
-:data:`COLUMNAR_THRESHOLD` events; below that the scalar reference runs
-(less conversion overhead, and the reference stays exercised).
+Chunk protocol
+--------------
+Every trace type answers ``chunks()`` with an iterator of
+:class:`ColumnarTrace` chunks in trace order: a :class:`ColumnarTrace`
+yields itself, a :class:`~repro.trace.trace.Trace` yields its cached
+columnar view, and a streamed store view
+(:class:`~repro.trace.store.StreamedTrace`) yields one chunk per slice.
+``map_chunks(transform)`` applies a per-chunk, length-preserving transform
+(remaps, address translation) the same way.  Each playback layer has one
+kernel over this protocol that carries its state across chunk boundaries;
+the scalar implementations they replaced live on as test oracles
+(``tests/oracles.py``), and the kernels must agree with them *exactly*.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from .events import AccessKind, AddressSpace, MemoryAccess
 from .trace import Trace
 
 __all__ = [
-    "COLUMNAR_THRESHOLD",
     "KIND_READ",
     "KIND_WRITE",
     "SPACE_DATA",
@@ -51,13 +50,7 @@ __all__ = [
     "assign_banks",
     "per_bank_read_write_counts",
     "idle_interval_split",
-    "use_columnar",
-    "is_streamed_trace",
 ]
-
-#: Event count at or above which flow-layer consumers route a trace through
-#: the columnar engine instead of the scalar reference implementation.
-COLUMNAR_THRESHOLD = 4096
 
 #: ``kinds`` column encoding (matches :class:`AccessKind` declaration order).
 KIND_READ = 0
@@ -66,28 +59,6 @@ KIND_WRITE = 1
 #: ``spaces`` column encoding (matches :class:`AddressSpace` declaration order).
 SPACE_DATA = 0
 SPACE_INSTRUCTION = 1
-
-
-def is_streamed_trace(trace) -> bool:
-    """Whether ``trace`` is a chunked streaming view (duck-typed).
-
-    Streamed traces (``repro.trace.store.StreamedTrace``) advertise an
-    ``is_streamed`` class attribute rather than an isinstance contract, so
-    the playback layers can route on it without importing the store module.
-    """
-    return bool(getattr(trace, "is_streamed", False))
-
-
-def use_columnar(trace: "Trace | ColumnarTrace") -> bool:
-    """Whether a consumer should take the columnar path for ``trace``.
-
-    ``True`` for any :class:`ColumnarTrace` (the conversion is already
-    paid), for any streamed trace (whose chunks *are* columnar), and for
-    scalar traces of at least :data:`COLUMNAR_THRESHOLD` events.
-    """
-    if isinstance(trace, ColumnarTrace) or is_streamed_trace(trace):
-        return True
-    return len(trace) >= COLUMNAR_THRESHOLD
 
 
 class ColumnarTrace:
@@ -234,6 +205,16 @@ class ColumnarTrace:
         """This trace itself, so both trace types answer :meth:`Trace.columnar`."""
         return self
 
+    def chunks(self) -> Iterator["ColumnarTrace"]:
+        """The chunk protocol: an in-memory trace is its own single chunk."""
+        return iter((self,))
+
+    def map_chunks(
+        self, transform: Callable[["ColumnarTrace"], "ColumnarTrace"]
+    ) -> "ColumnarTrace":
+        """Apply a per-chunk transform; here, to the one chunk."""
+        return transform(self)
+
     def to_trace(self) -> Trace:
         """Materialize back into a scalar :class:`Trace` (one O(n) pass)."""
         addresses = self.addresses.tolist()
@@ -345,9 +326,9 @@ def assign_banks(
 
     ``bank_bases``/``bank_limits`` describe ascending, non-overlapping
     address windows (gaps between windows are allowed).  One
-    :func:`numpy.searchsorted` replaces the per-event scan of the scalar
-    reference; any address outside every window raises ``ValueError`` naming
-    the first offender in trace order.
+    :func:`numpy.searchsorted` replaces a per-event scan; any address
+    outside every window raises ``ValueError`` naming the first offender in
+    trace order.
     """
     bank_bases = np.asarray(bank_bases, dtype=np.int64)
     bank_limits = np.asarray(bank_limits, dtype=np.int64)

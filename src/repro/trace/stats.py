@@ -17,13 +17,12 @@ Complements :mod:`repro.trace.profile` (which aggregates per block) with
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections.abc import Callable, Hashable
 from typing import Union
 
 import numpy as np
 
-from .columnar import ColumnarTrace, use_columnar
-
+from .columnar import ColumnarTrace
 from .trace import Trace
 
 __all__ = [
@@ -35,17 +34,22 @@ __all__ = [
 ]
 
 
-def _ranked_counts(values: np.ndarray) -> list[tuple[int, int]]:
-    """``(value, count)`` pairs ordered like ``Counter.most_common``.
+def _merge_counts(
+    counts: dict, keys: np.ndarray, decode: Callable[[int], Hashable] = int
+) -> None:
+    """Add one chunk's occurrence counts of ``keys`` into ``counts``.
 
-    Count descending, ties broken by first encounter in ``values`` — the
-    order ``Counter`` inherits from dict insertion.
+    Keys new to ``counts`` are inserted in their chunk-local
+    first-encounter order; chunks arriving in trace order, the dict then
+    holds every key in global first-encounter order — the order a
+    ``Counter`` fed one event at a time would have.
     """
-    unique, first_index, counts = np.unique(
-        values, return_index=True, return_counts=True
+    unique, first_index, chunk_counts = np.unique(
+        keys, return_index=True, return_counts=True
     )
-    order = sorted(range(len(unique)), key=lambda i: (-counts[i], first_index[i]))
-    return [(int(unique[i]), int(counts[i])) for i in order]
+    for position in np.argsort(first_index, kind="stable").tolist():
+        key = decode(int(unique[position]))
+        counts[key] = counts.get(key, 0) + int(chunk_counts[position])
 
 
 def stride_histogram(
@@ -53,24 +57,20 @@ def stride_histogram(
 ) -> list[tuple[int, int]]:
     """Histogram of consecutive address deltas, most frequent first.
 
-    Returns ``(stride, count)`` pairs; ``top`` truncates the list.  Large
-    traces take a vectorized path (``diff`` + ``unique``) that reproduces
-    the scalar ranking exactly, ties included.
+    Returns ``(stride, count)`` pairs; ``top`` truncates the list.  Ties
+    rank by first encounter, as ``Counter.most_common`` does.
     """
-    if use_columnar(trace):
-        columnar = trace.columnar()
-        if len(columnar) < 2:
-            return []
-        ranked = _ranked_counts(np.diff(columnar.addresses))
-        return ranked if top is None else ranked[:top]
-    counts: Counter = Counter()
-    previous = None
-    for event in trace:
-        if previous is not None:
-            counts[event.address - previous] += 1
-        previous = event.address
-    ranked = counts.most_common(top)
-    return [(stride, count) for stride, count in ranked]
+    counts: dict[int, int] = {}
+    previous = np.empty(0, dtype=np.int64)
+    for chunk in trace.chunks():
+        if not len(chunk):
+            continue
+        # The previous chunk's last address makes the boundary stride.
+        addresses = np.concatenate((previous, chunk.addresses))
+        _merge_counts(counts, np.diff(addresses))
+        previous = chunk.addresses[-1:]
+    ranked = sorted(counts.items(), key=lambda item: -item[1])
+    return ranked if top is None else ranked[:top]
 
 
 def dominant_stride(trace: Union[Trace, ColumnarTrace]) -> tuple[int, float]:
@@ -95,27 +95,12 @@ def address_entropy(trace: Union[Trace, ColumnarTrace], block_size: int = 32) ->
     """
     if block_size <= 0:
         raise ValueError(f"block_size must be positive, got {block_size}")
-    if use_columnar(trace):
-        columnar = trace.columnar()
-        if not len(columnar):
-            return 0.0
-        blocks = columnar.block_ids(block_size)
-        _unique, first_index, block_counts = np.unique(
-            blocks, return_index=True, return_counts=True
-        )
-        total = len(blocks)
-        entropy = 0.0
-        # Accumulate in the scalar reference's first-encounter order so the
-        # float sum is bit-identical; only the counting is vectorized.
-        for position in np.argsort(first_index, kind="stable").tolist():
-            probability = int(block_counts[position]) / total
-            entropy -= probability * math.log2(probability)
-        return entropy
-    counts: Counter = Counter(event.block(block_size) for event in trace)
+    counts: dict[int, int] = {}
+    for chunk in trace.chunks():
+        _merge_counts(counts, chunk.block_ids(block_size))
     total = sum(counts.values())
-    if total == 0:
-        return 0.0
     entropy = 0.0
+    # Accumulated in first-encounter order, so the float sum is fixed.
     for count in counts.values():
         probability = count / total
         entropy -= probability * math.log2(probability)
@@ -128,35 +113,25 @@ def region_transition_matrix(
     """Markov transition counts between address regions.
 
     Key ``(from_region, to_region)`` → number of consecutive access pairs
-    that moved between those regions (self-transitions included).
+    that moved between those regions (self-transitions included), in
+    first-encounter order.
     """
     if region_size <= 0:
         raise ValueError(f"region_size must be positive, got {region_size}")
-    if use_columnar(trace):
-        columnar = trace.columnar()
-        if len(columnar) < 2:
-            return {}
-        regions = columnar.addresses // region_size
+    matrix: dict[tuple[int, int], int] = {}
+    previous = np.empty(0, dtype=np.int64)
+    for chunk in trace.chunks():
+        if not len(chunk):
+            continue
+        regions = np.concatenate((previous, chunk.addresses // region_size))
+        previous = regions[-1:]
         compact, dense = np.unique(regions, return_inverse=True)
         span = len(compact)
-        keys = dense[:-1] * span + dense[1:]
-        unique_keys, first_index, counts = np.unique(
-            keys, return_index=True, return_counts=True
+        _merge_counts(
+            matrix,
+            dense[:-1] * span + dense[1:],
+            lambda key: (int(compact[key // span]), int(compact[key % span])),
         )
-        matrix: dict[tuple[int, int], int] = {}
-        for position in np.argsort(first_index, kind="stable").tolist():
-            key = int(unique_keys[position])
-            pair = (int(compact[key // span]), int(compact[key % span]))
-            matrix[pair] = int(counts[position])
-        return matrix
-    matrix = {}
-    previous = None
-    for event in trace:
-        region = event.address // region_size
-        if previous is not None:
-            key = (previous, region)
-            matrix[key] = matrix.get(key, 0) + 1
-        previous = region
     return matrix
 
 

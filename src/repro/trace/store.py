@@ -34,10 +34,9 @@ recipe: corruption degrades to a cache miss, never to wrong results.
 Bit-identity contract
 ---------------------
 A round trip through :func:`save_store`/:func:`load_store` reproduces
-every column bit-for-bit, and streamed playback of a store agrees exactly
-with scalar and columnar playback of the same trace — the three-way
-``scalar == columnar == streamed`` contract pinned by
-``tests/test_properties_store.py``.
+every column bit-for-bit, and streamed playback of a store, at any chunk
+size, agrees exactly with the scalar oracles run on the same trace —
+pinned by ``tests/test_properties_store.py``.
 """
 
 from __future__ import annotations
@@ -445,11 +444,11 @@ def open_store(
 class StreamedTrace:
     """A trace replayed as a sequence of columnar chunks.
 
-    Consumers recognise streamed traces by the ``is_streamed`` class
-    attribute (duck-typed, so the playback layers need no import of this
-    module) and accumulate per-chunk integer counters into the same merge
-    points the scalar and columnar engines share — which is what makes
-    streamed reports bit-identical to the other two engines.
+    It answers the same chunk protocol as the in-memory trace types
+    (:meth:`chunks`, :meth:`map_chunks`), so every playback layer consumes
+    it through its one chunked kernel; those kernels carry their state
+    across chunk boundaries, which is what makes a report independent of
+    the chunk size.
 
     Parameters
     ----------
@@ -470,9 +469,6 @@ class StreamedTrace:
         Nominal events per chunk of the *base* store (views keep their
         parent's value for reporting; filtered chunks may be shorter).
     """
-
-    #: Duck-typing marker checked by ``repro.trace.columnar.is_streamed_trace``.
-    is_streamed = True
 
     def __init__(
         self,

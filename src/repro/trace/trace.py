@@ -75,6 +75,14 @@ class Trace:
             self._columnar = ColumnarTrace.from_trace(self)
         return self._columnar
 
+    def chunks(self):
+        """The chunk protocol: the cached :meth:`columnar` view, as one chunk."""
+        return iter((self.columnar(),))
+
+    def map_chunks(self, transform):
+        """Apply a per-chunk transform to the cached :meth:`columnar` view."""
+        return transform(self.columnar())
+
     @property
     def events(self) -> Sequence[MemoryAccess]:
         """The underlying event list (read-only view by convention)."""

@@ -332,11 +332,10 @@ def manifest_payload(**overrides) -> dict:
         "package_version": "1.0",
         "python_version": "3.12.0",
         "platform": "linux",
-        "engine": {"columnar_threshold": 4096},
         "config_hash": None,
         "seed": None,
         "extra": {},
-        "schema": 1,
+        "schema": 2,
     }
     payload.update(overrides)
     return payload
@@ -398,10 +397,11 @@ class TestManifestDrift:
         baseline = tmp_path / "baseline.json"
         compare_module.update_baseline(run, baseline)
         stored = json.loads(baseline.read_text()).get("manifest")
-        assert stored is not None
-        assert "columnar_threshold" in stored["engine"]
+        assert stored == compare_module.current_manifest()
 
     def test_committed_baseline_carries_a_manifest(self):
         manifest = compare_module.load_manifest(compare_module.DEFAULT_BASELINE)
         assert manifest is not None
-        assert manifest["engine"].get("columnar_threshold") == 4096
+        # Recorded in the current manifest layout, so a gate run compares
+        # environments instead of reporting layout drift.
+        assert set(manifest) == set(compare_module.current_manifest())

@@ -62,15 +62,15 @@ class TestRemapping:
     def test_remap_trace(self):
         profile = simple_profile()
         layout = BlockLayout.identity(profile)
-        remapped = layout.remap_trace(profile.trace)
-        addresses = [event.address for event in remapped]
+        remapped = profile.trace.map_chunks(layout.remap_columnar)
+        addresses = remapped.addresses.tolist()
         # blocks 0,2,8 -> positions 0,1,2; offsets preserved
         assert addresses == [0x00, 0x20, 0x40, 0x24]
 
     def test_remap_preserves_kind(self):
         profile = simple_profile()
         layout = BlockLayout.identity(profile)
-        remapped = layout.remap_trace(profile.trace)
+        remapped = profile.trace.map_chunks(layout.remap_columnar).to_trace()
         assert remapped[1].is_write
 
     def test_unknown_block_raises(self):

@@ -1,24 +1,29 @@
-"""Property-based equivalence: scalar reference vs vectorized columnar engine.
+"""Property-based equivalence: scalar oracles vs the chunked kernels, in memory.
 
-The columnar engine's contract is *exact* agreement with the scalar
-reference — bit-identical energy totals, identical per-bank access counts,
-identical sleep accounting — on any trace, including empty traces and
-single-bank memories.  Hypothesis searches for counterexamples.
+Every playback layer runs one kernel over the chunk protocol; the scalar
+forms it replaced live in :mod:`tests.oracles`.  The contract is *exact*
+agreement — bit-identical energy totals, identical per-bank counts,
+identical sleep accounting, identical dict and rank order — on any trace,
+including empty traces and single-bank memories, whether the kernel is
+handed a :class:`Trace` or a :class:`ColumnarTrace`.  Streamed store
+inputs are covered by ``tests/test_properties_store.py``.  Hypothesis
+searches for counterexamples.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.memory import (
-    PartitionedMemory,
-    SleepPolicy,
-    simulate_bank_sleep_columnar,
-    simulate_bank_sleep_scalar,
-)
+from repro.memory import AccessOutsideMemoryError, PartitionedMemory, SleepPolicy
+from repro.partition import PartitionSpec
+from repro.partition.evaluate import build_memory, simulate_partition
+from repro.spm import SPMAllocator, SPMConfig
 from repro.trace import AccessKind, MemoryAccess, Trace
 from repro.trace.profile import AccessProfile
+
+from . import oracles
 
 BANK_BYTES = 256
 
@@ -57,79 +62,44 @@ def build_case(case) -> tuple[list[int], Trace]:
 @given(trace_strategy)
 def test_play_scalar_and_vectorized_agree_exactly(case):
     bank_sizes, trace = build_case(case)
-    memory_scalar = PartitionedMemory(bank_sizes)
-    memory_vector = PartitionedMemory(bank_sizes)
-    report_scalar = memory_scalar.play_scalar(trace, include_leakage=True)
-    report_vector = memory_vector.play_vectorized(trace.columnar(), include_leakage=True)
-    assert report_scalar.total == report_vector.total
-    assert report_scalar.bank_energy == report_vector.bank_energy
-    assert report_scalar.decoder_energy == report_vector.decoder_energy
-    assert report_scalar.leakage_energy == report_vector.leakage_energy
-    assert memory_scalar.bank_access_counts() == memory_vector.bank_access_counts()
-    assert [(b.reads, b.writes) for b in memory_scalar.banks] == [
-        (b.reads, b.writes) for b in memory_vector.banks
-    ]
+    oracles.check_play(bank_sizes, trace, oracles.engine_inputs(trace))
+
+
+@settings(max_examples=100, deadline=None)
+@given(trace_strategy, st.data())
+def test_play_rejects_an_outside_address_and_leaves_counters_reset(case, data):
+    bank_sizes, trace = build_case(case)
+    position = data.draw(st.integers(min_value=0, max_value=len(trace)))
+    outside = sum(bank_sizes) + data.draw(st.integers(min_value=0, max_value=64))
+    events = list(trace)
+    time = events[position - 1].time if position else 0
+    events.insert(position, MemoryAccess(time=time, address=outside))
+    bad = Trace(events, name="outside")
+    with pytest.raises(AccessOutsideMemoryError) as expected:
+        oracles.play(PartitionedMemory(bank_sizes), bad)
+    for label, engine_input in oracles.engine_inputs(bad):
+        memory = PartitionedMemory(bank_sizes)
+        memory.play(trace)  # leave counters from an earlier, valid play
+        with pytest.raises(AccessOutsideMemoryError) as raised:
+            memory.play(engine_input)
+        assert str(raised.value) == str(expected.value), label
+        assert memory.bank_access_counts() == [0] * len(bank_sizes), label
+        assert memory.decoder_energy == 0.0, label
 
 
 @settings(max_examples=200, deadline=None)
 @given(trace_strategy, st.integers(min_value=0, max_value=300))
 def test_bank_sleep_scalar_and_columnar_agree_exactly(case, timeout_cycles):
     bank_sizes, trace = build_case(case)
-    bank_bases = [i * BANK_BYTES for i in range(len(bank_sizes))]
     policy = SleepPolicy(timeout_cycles=timeout_cycles)
-    report_scalar = simulate_bank_sleep_scalar(bank_sizes, bank_bases, trace, policy)
-    report_columnar = simulate_bank_sleep_columnar(
-        bank_sizes, bank_bases, trace.columnar(), policy
-    )
-    assert report_scalar == report_columnar
-    assert report_scalar.leakage_saving == report_columnar.leakage_saving
+    oracles.check_sleep(bank_sizes, trace, policy, oracles.engine_inputs(trace))
 
 
 @settings(max_examples=150, deadline=None)
 @given(trace_strategy)
 def test_profile_scalar_and_columnar_agree_exactly(case):
     _bank_sizes, trace = build_case(case)
-    scalar = AccessProfile.__new__(AccessProfile)
-    scalar.block_size = 32
-    scalar.trace = trace
-    scalar._stats = {}
-    scalar._sequence = []
-    scalar._build()
-    vectorized = AccessProfile(trace.columnar(), block_size=32)
-    assert scalar._sequence == vectorized._sequence
-    # Dict order is part of the contract: clustering breaks ties on it.
-    assert list(scalar._stats) == list(vectorized._stats)
-    for block, stats in scalar._stats.items():
-        other = vectorized._stats[block]
-        assert (stats.reads, stats.writes, stats.first_time, stats.last_time) == (
-            other.reads,
-            other.writes,
-            other.first_time,
-            other.last_time,
-        )
-    if len(trace) >= 2:
-        # Dict order is checked too: clustering breaks affinity ties on it.
-        # The last window is longer than any generated sequence.
-        for window in (2, 3, 8, 16, 200):
-            assert list(vectorized.affinity_matrix(window).items()) == list(
-                reference_affinity(scalar._sequence, window).items()
-            )
-
-
-def reference_affinity(sequence: list[int], window: int) -> dict[tuple[int, int], int]:
-    """The scalar sliding-window pair count, in first-encounter order."""
-    reference: dict[tuple[int, int], int] = {}
-    recent: list[int] = []
-    for block in sequence:
-        for other_block in recent:
-            if other_block == block:
-                continue
-            key = (block, other_block) if block < other_block else (other_block, block)
-            reference[key] = reference.get(key, 0) + 1
-        recent.append(block)
-        if len(recent) > window - 1:
-            recent.pop(0)
-    return reference
+    oracles.check_profile(trace, oracles.engine_inputs(trace))
 
 
 @settings(max_examples=100, deadline=None)
@@ -144,12 +114,92 @@ def test_affinity_vectorized_matches_scalar_on_dense_reuse(blocks, window):
         [MemoryAccess(time=index, address=block * 32) for index, block in enumerate(blocks)],
         name="dense",
     )
-    profile = AccessProfile(trace.columnar(), block_size=32)
+    profile = AccessProfile(trace, block_size=32)
     assert list(profile.affinity_matrix(window).items()) == list(
-        reference_affinity(profile._sequence, window).items()
+        oracles.affinity(profile.block_sequence, window).items()
     )
 
 
 def test_affinity_of_a_single_block_sequence_is_empty():
     trace = Trace([MemoryAccess(time=index, address=64) for index in range(50)], name="one")
-    assert AccessProfile(trace.columnar(), block_size=32).affinity_matrix(8) == {}
+    assert AccessProfile(trace, block_size=32).affinity_matrix(8) == {}
+
+
+@settings(max_examples=150, deadline=None)
+@given(trace_strategy)
+def test_stats_match_the_oracles(case):
+    _bank_sizes, trace = build_case(case)
+    oracles.check_stats(trace, oracles.engine_inputs(trace))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    trace_strategy,
+    st.sampled_from([32, 96, 256, 2048]),
+    st.sampled_from([5.0, 12.0, 50.0]),
+)
+def test_spm_top_k_matches_the_oracle(case, spm_bytes, cache_path_energy):
+    _bank_sizes, trace = build_case(case)
+    allocator = SPMAllocator(SPMConfig(size=spm_bytes), cache_path_energy=cache_path_energy)
+    oracles.check_spm(trace, allocator, oracles.engine_inputs(trace))
+
+
+@settings(max_examples=100, deadline=None)
+@given(trace_strategy, st.sampled_from([1, 5, 16, 500]))
+def test_trace_to_application_matches_the_oracle(case, window_events):
+    _bank_sizes, trace = build_case(case)
+    oracles.check_application(trace, oracles.engine_inputs(trace), window_events)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=600),  # size in bytes
+            st.floats(min_value=0.5, max_value=1000.0, allow_nan=False),
+        ),
+        max_size=8,
+    ),
+    st.sampled_from([0, 16, 100, 256, 1024]),
+)
+def test_knapsack_matches_the_oracle(raw_items, capacity):
+    items = [(f"ds{index}", size, value) for index, (size, value) in enumerate(raw_items)]
+    oracles.check_knapsack(items, capacity)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=4),
+    # (block, byte within it): block starts land on bank edges often.
+    st.lists(
+        st.tuples(st.integers(min_value=0, max_value=100), st.sampled_from([0, 4, 28])),
+        max_size=60,
+    ),
+)
+def test_rounded_partition_translation_matches_the_oracle(bank_blocks, accesses):
+    spec = PartitionSpec(block_size=32, bank_blocks=tuple(bank_blocks), round_pow2=True)
+    exact_edges = [0]
+    for blocks in spec.bank_blocks:
+        exact_edges.append(exact_edges[-1] + blocks * spec.block_size)
+    physical_bases = [bank.base for bank in build_memory(spec).banks]
+    total_blocks = sum(spec.bank_blocks)
+    trace = Trace(
+        [
+            MemoryAccess(time=index, address=(block % total_blocks) * 32 + byte)
+            for index, (block, byte) in enumerate(accesses)
+        ],
+        name="layout",
+    )
+    translated = trace.remap(
+        lambda address: oracles.translate(exact_edges, physical_bases, address)
+    )
+    reference = build_memory(spec)
+    want = oracles.play(reference, translated, include_leakage=True)
+    for label, engine_input in oracles.engine_inputs(trace):
+        got = simulate_partition(spec, engine_input, include_leakage=True)
+        assert got.bank_access_counts == tuple(reference.bank_access_counts()), label
+        assert (got.bank_energy, got.decoder_energy, got.leakage_energy) == (
+            want.bank_energy,
+            want.decoder_energy,
+            want.leakage_energy,
+        ), label

@@ -1,31 +1,29 @@
-"""Property-based three-way equivalence: scalar == columnar == streamed.
+"""Property-based equivalence: scalar oracles vs the kernels, streamed.
 
 The trace store's playback contract is *exact*: replaying a packed trace
 chunk-by-chunk (any chunk size — one event per chunk, chunks straddling
-idle intervals, one chunk holding the whole trace) produces bit-identical
-reports to the scalar reference and the in-memory columnar engine, at
-every playback layer (partitioned play, bank sleep, access profile).
-Hypothesis searches random traces × random chunk sizes for
-counterexamples; chunk sizes are drawn past the trace length so the
-degenerate single-chunk case is exercised alongside chunk=1.
+idle intervals, one chunk holding the whole trace) produces the same
+reports as the scalar oracles of :mod:`tests.oracles` on the in-memory
+trace, at every playback layer (partitioned play, bank sleep, access
+profile and affinity, stream statistics, SPM top-k, reconfig windowing).
+Every case replays at chunk sizes 1, 7, ``len`` and ``len + 1`` plus one
+drawn size; drawn sizes overshoot the trace length so the single-chunk
+case is exercised alongside chunk=1.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.memory import (
-    PartitionedMemory,
-    SleepPolicy,
-    simulate_bank_sleep_columnar,
-    simulate_bank_sleep_scalar,
-)
-from repro.memory.sleep import simulate_bank_sleep_streamed
+from repro.memory import SleepPolicy
+from repro.spm import SPMAllocator, SPMConfig
 from repro.trace import AccessKind, MemoryAccess, Trace
 from repro.trace.io import trace_digest
-from repro.trace.profile import AccessProfile
 from repro.trace.store import load_store, open_store, save_store, store_digest
+
+from . import oracles
 
 BANK_BYTES = 256
 
@@ -87,30 +85,19 @@ def test_round_trip_is_bit_identical(tmp_path_factory, case, chunk_size):
     assert store_digest(path) == trace_digest(trace)
 
 
+def streamed_inputs(tmp_path_factory, trace: Trace, chunk_size: int) -> list:
+    """The trace packed at the drawn chunk size, replayed at that size and
+    at every :func:`tests.oracles.chunk_sizes` size."""
+    path = packed(tmp_path_factory, trace, chunk_size)
+    return oracles.streamed_views(path, (chunk_size, *oracles.chunk_sizes(trace)))
+
+
 @settings(max_examples=150, deadline=None)
 @given(trace_strategy, chunk_strategy)
 def test_play_three_way_identical(tmp_path_factory, case, chunk_size):
     bank_sizes, trace = build_case(case)
-    path = packed(tmp_path_factory, trace, chunk_size)
-    streamed = open_store(path)
-
-    memory_scalar = PartitionedMemory(bank_sizes)
-    memory_vector = PartitionedMemory(bank_sizes)
-    memory_stream = PartitionedMemory(bank_sizes)
-    report_scalar = memory_scalar.play_scalar(trace, include_leakage=True)
-    report_vector = memory_vector.play_vectorized(
-        trace.columnar(), include_leakage=True
-    )
-    report_stream = memory_stream.play_streamed(streamed, include_leakage=True)
-    assert report_scalar == report_vector == report_stream
-    assert (
-        memory_scalar.bank_access_counts()
-        == memory_vector.bank_access_counts()
-        == memory_stream.bank_access_counts()
-    )
-    assert [(b.reads, b.writes) for b in memory_scalar.banks] == [
-        (b.reads, b.writes) for b in memory_stream.banks
-    ]
+    inputs = streamed_inputs(tmp_path_factory, trace, chunk_size)
+    oracles.check_play(bank_sizes, trace, inputs)
 
 
 @settings(max_examples=150, deadline=None)
@@ -119,53 +106,64 @@ def test_bank_sleep_three_way_identical(
     tmp_path_factory, case, chunk_size, timeout_cycles
 ):
     bank_sizes, trace = build_case(case)
-    bank_bases = [i * BANK_BYTES for i in range(len(bank_sizes))]
     policy = SleepPolicy(timeout_cycles=timeout_cycles)
-    path = packed(tmp_path_factory, trace, chunk_size)
-    streamed = open_store(path)
+    inputs = streamed_inputs(tmp_path_factory, trace, chunk_size)
+    oracles.check_sleep(bank_sizes, trace, policy, inputs)
 
-    report_scalar = simulate_bank_sleep_scalar(bank_sizes, bank_bases, trace, policy)
-    report_columnar = simulate_bank_sleep_columnar(
-        bank_sizes, bank_bases, trace.columnar(), policy
-    )
-    report_streamed = simulate_bank_sleep_streamed(
-        bank_sizes, bank_bases, streamed, policy
-    )
-    assert report_scalar == report_columnar == report_streamed
-    assert report_scalar.leakage_saving == report_streamed.leakage_saving
+
+@pytest.mark.parametrize("timeout_cycles", [0, 49, 50, 51])
+def test_idle_gap_straddling_a_chunk_boundary(tmp_path, timeout_cycles):
+    # Bank 0 is touched by events 0-6 and again by event 7 after a 50-cycle
+    # gap; at chunk size 7 that gap is exactly the chunk boundary.  Bank 1
+    # is touched only in the second chunk.
+    events = [MemoryAccess(time=t, address=4 * t) for t in range(7)]
+    events += [
+        MemoryAccess(time=56, address=8),
+        MemoryAccess(time=57, address=BANK_BYTES),
+        MemoryAccess(time=200, address=BANK_BYTES + 4),
+    ]
+    trace = Trace(events, name="straddle")
+    policy = SleepPolicy(timeout_cycles=timeout_cycles)
+    inputs = oracles.engine_inputs(trace, tmp_path)
+    oracles.check_sleep([BANK_BYTES, BANK_BYTES], trace, policy, inputs)
 
 
 @settings(max_examples=150, deadline=None)
 @given(trace_strategy, chunk_strategy)
 def test_profile_three_way_identical(tmp_path_factory, case, chunk_size):
     _bank_sizes, trace = build_case(case)
-    path = packed(tmp_path_factory, trace, chunk_size)
-    streamed = open_store(path)
+    inputs = streamed_inputs(tmp_path_factory, trace, chunk_size)
+    oracles.check_profile(trace, inputs, windows=(2, 8))
 
-    scalar = AccessProfile.__new__(AccessProfile)
-    scalar.block_size = 32
-    scalar.trace = trace
-    scalar._stats = {}
-    scalar._sequence = []
-    scalar._build()
-    vectorized = AccessProfile(trace.columnar(), block_size=32)
-    from_stream = AccessProfile(streamed, block_size=32)
-    assert scalar._sequence == vectorized._sequence == from_stream._sequence
-    # Dict order is part of the contract: clustering breaks ties on it, so
-    # first-encounter order must survive chunk boundaries.
-    assert list(scalar._stats) == list(from_stream._stats)
-    for block, stats in scalar._stats.items():
-        other = from_stream._stats[block]
-        assert (stats.reads, stats.writes, stats.first_time, stats.last_time) == (
-            other.reads,
-            other.writes,
-            other.first_time,
-            other.last_time,
-        )
-    if len(trace) >= 2:
-        assert list(vectorized.affinity_matrix(8).items()) == list(
-            from_stream.affinity_matrix(8).items()
-        )
+
+@settings(max_examples=100, deadline=None)
+@given(trace_strategy, chunk_strategy)
+def test_stats_match_the_oracles_over_streamed_chunks(
+    tmp_path_factory, case, chunk_size
+):
+    _bank_sizes, trace = build_case(case)
+    oracles.check_stats(trace, streamed_inputs(tmp_path_factory, trace, chunk_size))
+
+
+@settings(max_examples=60, deadline=None)
+@given(trace_strategy, chunk_strategy, st.sampled_from([64, 512, 4096]))
+def test_spm_top_k_matches_the_oracle_over_streamed_chunks(
+    tmp_path_factory, case, chunk_size, spm_bytes
+):
+    _bank_sizes, trace = build_case(case)
+    allocator = SPMAllocator(SPMConfig(size=spm_bytes), cache_path_energy=50.0)
+    inputs = streamed_inputs(tmp_path_factory, trace, chunk_size)
+    oracles.check_spm(trace, allocator, inputs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(trace_strategy, chunk_strategy, st.sampled_from([1, 5, 16, 500]))
+def test_trace_to_application_matches_the_oracle_over_streamed_chunks(
+    tmp_path_factory, case, chunk_size, window_events
+):
+    _bank_sizes, trace = build_case(case)
+    inputs = streamed_inputs(tmp_path_factory, trace, chunk_size)
+    oracles.check_application(trace, inputs, window_events)
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,16 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro.trace.columnar as columnar_module
 from repro.memory import AccessOutsideMemoryError, PartitionedMemory
 from repro.trace import (
-    COLUMNAR_THRESHOLD,
     AccessKind,
     AddressSpace,
     ColumnarTrace,
     MemoryAccess,
     Trace,
-    use_columnar,
 )
 from repro.trace.columnar import (
     KIND_READ,
@@ -25,6 +22,8 @@ from repro.trace.columnar import (
     idle_interval_split,
     per_bank_read_write_counts,
 )
+
+from . import oracles
 
 
 def make_trace() -> Trace:
@@ -123,28 +122,29 @@ class TestViewsAndSummaries:
             columnar.validate()
 
 
+class TestChunkProtocol:
+    def test_columnar_trace_is_its_own_single_chunk(self):
+        columnar = ColumnarTrace.from_arrays([0, 4], [0, 1])
+        assert [chunk is columnar for chunk in columnar.chunks()] == [True]
+        assert columnar.map_chunks(lambda chunk: chunk.reads()).addresses.tolist() == [0, 4]
+
+    def test_trace_chunk_is_its_cached_columnar_view(self):
+        trace = make_trace()
+        (chunk,) = trace.chunks()
+        assert chunk is trace.columnar()
+        assert trace.map_chunks(lambda view: view) is trace.columnar()
+
+
 class TestThresholdRouting:
-    def test_columnar_trace_always_routes_columnar(self):
-        assert use_columnar(ColumnarTrace.from_arrays([], []))
-
-    def test_scalar_trace_routes_by_threshold(self):
-        small = Trace([MemoryAccess(time=0, address=0)], name="small")
-        assert not use_columnar(small)
-        big = Trace(
-            [MemoryAccess(time=t, address=0) for t in range(COLUMNAR_THRESHOLD)],
-            name="big",
-        )
-        assert use_columnar(big)
-
     def test_partitioned_memory_play_routes_both_paths_identically(self):
+        # Large enough that it once took the columnar route; every trace now
+        # goes through chunks(), and both input forms must match the oracle.
         events = [
             MemoryAccess(time=t, address=(t * 8) % 4096, kind=AccessKind.WRITE if t % 3 else AccessKind.READ)
-            for t in range(COLUMNAR_THRESHOLD + 10)
+            for t in range(4096 + 10)
         ]
         trace = Trace(events, name="routed")
-        routed = PartitionedMemory([2048, 2048]).play(trace)
-        scalar = PartitionedMemory([2048, 2048]).play_scalar(trace)
-        assert routed == scalar
+        oracles.check_play([2048, 2048], trace, oracles.engine_inputs(trace))
 
 
 class TestKernels:
@@ -169,7 +169,7 @@ class TestKernels:
     def test_play_vectorized_wraps_bank_error(self):
         trace = ColumnarTrace.from_arrays([0, 5000], [0, 1])
         with pytest.raises(AccessOutsideMemoryError):
-            PartitionedMemory([4096]).play_vectorized(trace)
+            PartitionedMemory([4096]).play(trace)
 
     def test_per_bank_read_write_counts(self):
         bank_ids = np.array([0, 0, 1, 2, 2, 2])
@@ -194,10 +194,3 @@ class TestKernels:
     def test_idle_interval_split_rejects_negative_timeout(self):
         with pytest.raises(ValueError, match="non-negative"):
             idle_interval_split(np.array([0, 1], dtype=np.int64), -1)
-
-
-def test_threshold_is_part_of_the_public_contract():
-    # Flow routing, docs, and benchmarks all reference this constant; moving
-    # it is fine, silently renaming it is not.
-    assert columnar_module.COLUMNAR_THRESHOLD == COLUMNAR_THRESHOLD
-    assert COLUMNAR_THRESHOLD > 0

@@ -130,5 +130,5 @@ class TestSampledOptimization:
         reads, writes = layout.counts_in_order(full_profile)
         model = PartitionCostModel(reads=reads, writes=writes, block_size=32)
         spec = OptimalPartitioner(max_banks=4).partition(model).spec
-        energy = simulate_partition(spec, layout.remap_trace(big_trace)).total
+        energy = simulate_partition(spec, big_trace.map_chunks(layout.remap_columnar)).total
         assert energy <= 1.10 * full.clustered.simulated.total

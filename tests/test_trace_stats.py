@@ -11,8 +11,11 @@ from repro.trace import (
     Trace,
     address_entropy,
     dominant_stride,
+    load_store,
+    open_store,
     region_stickiness,
     region_transition_matrix,
+    save_store,
     stride_histogram,
 )
 
@@ -92,3 +95,33 @@ class TestRegions:
     def test_region_size_validated(self):
         with pytest.raises(ValueError):
             region_transition_matrix(Trace(), 0)
+
+
+class TestEveryTraceType:
+    """The statistics read traces through the chunk protocol, so a streamed
+    store view answers exactly like the in-memory trace types."""
+
+    # Strides +4/-4 tie at 3 each and +96/-96 at 1; at 64-byte regions the
+    # transitions tie pairwise too, so rank order depends on first encounter.
+    ADDRESSES = [0, 4, 0, 4, 100, 96, 100, 96, 0]
+
+    @staticmethod
+    def summary(trace):
+        return (
+            stride_histogram(trace),
+            stride_histogram(trace, top=1),
+            dominant_stride(trace),
+            address_entropy(trace, 32),
+            list(region_transition_matrix(trace, 64).items()),
+            region_stickiness(trace, 64),
+        )
+
+    def test_streamed_store_matches_loaded_and_scalar_traces(self, tmp_path):
+        path = save_store(trace_of(self.ADDRESSES), tmp_path / "ties.tstore")
+        expected = self.summary(load_store(path))
+        assert expected[0] == [(4, 3), (-4, 3), (96, 1), (-96, 1)]
+        assert self.summary(load_store(path).to_trace()) == expected
+        length = len(self.ADDRESSES)
+        for chunk_size in (1, 7, length, length + 5):
+            streamed = open_store(path, chunk_size=chunk_size)
+            assert self.summary(streamed) == expected, chunk_size
